@@ -303,27 +303,52 @@ def _cmd_attribute(args) -> int:
 # ---------------------------------------------------------------------------
 # evaluate
 
-def _read_attribution_file(path) -> tuple[dict, list[dict]]:
+def _json_object(text: str, where: str) -> dict:
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{where}: not valid JSON ({exc.msg})") from None
+    if not isinstance(obj, dict):
+        raise DataError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def _read_attribution_file(path) -> tuple[dict, list[tuple[str, dict]]]:
+    """Header and (location, record) pairs; the location is PATH:LINE."""
     with open(path, encoding="utf-8") as fh:
-        lines = [line for line in fh if line.strip()]
+        lines = [(f"{path}:{no}", line) for no, line in enumerate(fh, start=1) if line.strip()]
     if not lines:
         raise DataError(f"{path}: empty attribution file")
-    header = json.loads(lines[0])
+    where, line = lines[0]
+    header = _json_object(line, where)
     if header.get("schema") != ATTRIBUTION_SCHEMA:
-        raise DataError(f"{path}: unsupported schema {header.get('schema')!r}")
-    return header, [json.loads(line) for line in lines[1:]]
+        raise DataError(f"{where}: unsupported schema {header.get('schema')!r}")
+    return header, [(where, _json_object(line, where)) for where, line in lines[1:]]
 
 
-def _record_values(record: dict, ds, path) -> tuple[int, np.ndarray]:
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _record_values(record: dict, ds, where: str) -> tuple[int, np.ndarray]:
     values = record.get("values", {})
+    if not isinstance(values, dict):
+        raise DataError(f"{where}: values must be a JSON object, got {type(values).__name__}")
     if set(values) != set(ds.column_names):
         raise DimensionMismatch(
-            f"{path}: attribution columns do not match the dataset ({len(values)} vs d={ds.d})"
+            f"{where}: attribution columns do not match the dataset ({len(values)} vs d={ds.d})"
         )
-    target = int(record["target_index"])
+    for name, v in values.items():
+        if not (_is_int(v) or isinstance(v, float)):
+            raise DataError(f"{where}: value of {name!r} must be a number, got {v!r}")
+    if "target_index" not in record:
+        raise DataError(f"{where}: record has no target_index")
+    target = record["target_index"]
+    if not _is_int(target):
+        raise DataError(f"{where}: target_index must be an integer, got {target!r}")
     if not 0 <= target < ds.n:
-        raise DimensionMismatch(f"{path}: target {target} outside the dataset's [0, {ds.n})")
-    return target, np.array([values[name] for name in ds.column_names])
+        raise DimensionMismatch(f"{where}: target {target} outside the dataset's [0, {ds.n})")
+    return target, np.array([values[name] for name in ds.column_names], dtype=float)
 
 
 def _cmd_evaluate(args) -> int:
@@ -337,8 +362,8 @@ def _cmd_evaluate(args) -> int:
     groups: dict[tuple[str, str], list[tuple[float, float]]] = {}
     for path in args.attributions:
         _, records = _read_attribution_file(path)
-        for record in records:
-            target, values = _record_values(record, ds, path)
+        for where, record in records:
+            target, values = _record_values(record, ds, where)
             profile = build_profile(ds, spec, target)
             report = abc_report(CohortValue(profile, ds.responses), values)
             method = record.get("method", "?")

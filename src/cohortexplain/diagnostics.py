@@ -14,7 +14,6 @@ import math
 import time
 from dataclasses import dataclass
 import numpy as np
-from scipy.stats import spearmanr
 
 from .data import Dataset, SimilaritySpec
 from .errors import DimensionTooLarge, EpsOutOfRange, EmptyDissimSet
@@ -23,7 +22,7 @@ from .igcs import QuadratureSpec, SoftValue, igcs_attribution
 from .sampling import rng_from
 from .shapley import DEFAULT_DIMENSION_CAP, exact_shapley, mc_shapley
 from .similarity import SimilarityProfile, build_profile
-from .values import CohortValue
+from .values import CohortValue, _similar_masks, _superset_sums
 
 
 @dataclass(frozen=True)
@@ -119,9 +118,9 @@ def corner_convergence(profile: SimilarityProfile, cap: int = 20) -> CornerRepor
     """Exhaustive corner census: the corner 1_u:0_-u lies inside H_eps
     (for any eps <= 1) iff some non-target row has u disjoint from J_i.
 
-    Counted for all 2^d corners with one subset-sum pass, so d must stay
-    small.  The fraction can never exceed m * 2^(-d a); that inequality is
-    checked here as a self-test.
+    Counted for all 2^d corners with one superset-sum pass over the rows'
+    similar-feature masks, so d must stay small.  The fraction can never
+    exceed m * 2^(-d a); that inequality is checked here as a self-test.
     """
     d = profile.d
     if d > cap:
@@ -133,15 +132,8 @@ def corner_convergence(profile: SimilarityProfile, cap: int = 20) -> CornerRepor
     m = int(nontarget.sum())
     if m == 0:
         return CornerReport(fraction=0.0, bound=0.0, corners_inside=0, d=d)
-    bits = np.int64(1) << np.arange(d, dtype=np.int64)
-    dissim_masks = ((~profile.indicators[nontarget]) * bits).sum(axis=1)
-    table = np.zeros(1 << d)
-    np.add.at(table, dissim_masks, 1.0)
-    for b in range(d):
-        view = table.reshape(-1, 2, 1 << b)
-        view[:, 1, :] += view[:, 0, :]
-    # table[w] now counts rows with J_i a subset of w; corner u is inside
-    # H_eps iff some row has J_i inside the complement of u.
+    # table[u] counts rows similar on all of u, i.e. with u disjoint from J_i.
+    table = _superset_sums(_similar_masks(profile)[nontarget], np.ones(m), d)
     inside = int(np.count_nonzero(table))
     fraction = inside / (1 << d)
     min_count = int(counts[nontarget].min())
@@ -227,6 +219,8 @@ def cs_vs_igcs(
     start = time.perf_counter()
     igcs_attr = igcs_attribution(SoftValue(profile, ds.responses), quad)
     igcs_seconds = time.perf_counter() - start
+
+    from scipy.stats import spearmanr  # lazy: its import dominates the CLI's start-up time and memory
 
     cs_abc = abc_report(cv, cs_attr)
     ig_abc = abc_report(cv, igcs_attr)

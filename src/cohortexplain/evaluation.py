@@ -17,6 +17,7 @@ import numpy as np
 
 from .sampling import fisher_yates, rng_from
 from .shapley import Attribution
+from .similarity import refinement_path
 from .values import CohortValue
 
 
@@ -39,33 +40,21 @@ def variable_ordering(values: Union[Attribution, np.ndarray]) -> np.ndarray:
     return np.lexsort((np.arange(len(vals)), -vals))
 
 
-def _refinement_means(indicators: np.ndarray, responses: np.ndarray, ordering) -> np.ndarray:
-    means = np.empty(len(ordering) + 1)
-    idx = np.arange(indicators.shape[0])
-    means[0] = responses.mean()
-    for k, j in enumerate(ordering, start=1):
-        idx = idx[indicators[idx, int(j)]]
-        means[k] = responses[idx].mean()
-    return means
-
-
 def conditional_curves(cv: CohortValue, ordering) -> tuple[np.ndarray, np.ndarray]:
     """Insertion curve nu({first k}) and deletion curve nu({last d-k}).
 
     Deletion removes the top-ranked constraints first, i.e. entry k
-    conditions on the d-k least important variables.  Both curves are built
-    by incremental cohort refinement, and the deletion curve is the reversed
-    insertion curve of the reversed ordering.
+    conditions on the d-k least important variables.  Both curves are cohort
+    sums over cohort sizes along the refinement path, and the deletion curve
+    is the reversed insertion curve of the reversed ordering.
     """
     ordering = np.asarray(ordering, dtype=int)
     d = cv.d
     if sorted(ordering.tolist()) != list(range(d)):
         raise ValueError(f"ordering must be a permutation of range({d})")
-    S = cv.profile.indicators
-    resp = cv.responses
-    insertion = _refinement_means(S, resp, ordering)
-    deletion = _refinement_means(S, resp, ordering[::-1])[::-1]
-    return insertion, deletion
+    sizes, sums = refinement_path(cv.profile, ordering, cv.responses)
+    back_sizes, back_sums = refinement_path(cv.profile, ordering[::-1], cv.responses)
+    return sums / sizes, (back_sums / back_sizes)[::-1]
 
 
 def abc_scores(insertion_curve, deletion_curve) -> tuple[float, float]:

@@ -33,13 +33,10 @@ class QuadratureSpec:
     (the soft cardinality never drops below 1)."""
 
     steps: int = 50
-    rule: str = "midpoint"
 
     def __post_init__(self):
         if self.steps < 1:
             raise ConfigError(f"quadrature steps must be >= 1, got {self.steps}")
-        if self.rule != "midpoint":
-            raise ConfigError(f"only the midpoint rule is supported, got {self.rule!r}")
 
     def nodes(self) -> np.ndarray:
         return (np.arange(self.steps) + 0.5) / self.steps

@@ -27,21 +27,19 @@ EXHAUSTIVE_PERMUTATION_CAP = 8
 class ValueFunction(ABC):
     """Evaluable map nu from subsets of [d] to reals.
 
-    ``cost`` ("cheap" or "expensive") declares roughly how costly a single
-    evaluation is, as a hint for engine heuristics.  nu(empty) need not be
-    zero; engines explain nu([d]) - nu(empty).  Subclasses may override
-    ``all_values`` or ``permutation_increments`` when they can batch the
-    work more efficiently than one evaluation per subset.
+    nu(empty) need not be zero; engines explain nu([d]) - nu(empty).
+    Subclasses may override ``all_values`` or ``permutation_increments``
+    when they can batch the work more efficiently than one evaluation per
+    subset.
     """
 
     #: set by concrete value functions tied to one observation
     target_index: Optional[int] = None
 
-    def __init__(self, d: int, cost: str = "expensive"):
+    def __init__(self, d: int):
         if d < 1:
             raise ValueError(f"dimension must be >= 1, got {d}")
         self.d = d
-        self.cost = cost
 
     @abstractmethod
     def evaluate(self, u: Sequence[int]) -> float:

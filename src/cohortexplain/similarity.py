@@ -1,16 +1,17 @@
-"""Per-target similarity indicators, dissimilarity bitsets, cohorts, and
-soft similarity.
+"""Per-target similarity indicators, cohorts, cohort refinement along an
+ordering, and soft similarity.
 
 For a fixed target t the binary indicator S[i, j] says whether observation i
 is similar to the target on feature j under the per-column rule.  The
-dissimilarity set J_i = {j : S[i, j] = 0} of each row is also kept as a
-fixed-width bitset of d bits so that audits and bit-level consumers can use
-popcounts directly; hot loops work on the boolean matrix.
+dissimilarity set of each row is J_i = {j : S[i, j] = 0}; the boolean matrix
+and the counts |J_i| are the only representation of it, and every cohort,
+refinement path and soft weight is computed from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -23,15 +24,13 @@ class SimilarityProfile:
     """Binary similarity of every observation to one target.
 
     ``indicators[i, j]`` is True when observation i is similar to the target
-    on feature j; ``dissim_packed[i]`` is J_i packed little-endian, 8 bits
-    per byte; ``dissim_counts[i]`` is |J_i|.  The target row is all-similar,
-    so J_t is empty.
+    on feature j; ``dissim_counts[i]`` is |J_i|.  The target row is
+    all-similar, so J_t is empty.
     """
 
     target_index: int
     d: int
     indicators: np.ndarray
-    dissim_packed: np.ndarray = field(init=False)
     dissim_counts: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -42,22 +41,15 @@ class SimilarityProfile:
             raise TargetOutOfRange(self.target_index, S.shape[0])
         if not S[self.target_index].all():
             raise ValueError("target row must be similar to itself on every feature")
-        packed = np.packbits(~S, axis=1, bitorder="little")
         counts = (~S).sum(axis=1).astype(np.int64)
-        for arr in (S, packed, counts):
+        for arr in (S, counts):
             arr.setflags(write=False)
         object.__setattr__(self, "indicators", S)
-        object.__setattr__(self, "dissim_packed", packed)
         object.__setattr__(self, "dissim_counts", counts)
 
     @property
     def n(self) -> int:
         return self.indicators.shape[0]
-
-    def dissim_set(self, i: int) -> frozenset[int]:
-        """Decode J_i from its bitset."""
-        bits = np.unpackbits(self.dissim_packed[i], bitorder="little", count=self.d)
-        return frozenset(np.flatnonzero(bits).tolist())
 
     @classmethod
     def from_indicators(cls, indicators: np.ndarray, target_index: int) -> "SimilarityProfile":
@@ -99,6 +91,29 @@ def cohort(profile: SimilarityProfile, u) -> np.ndarray:
     if not u:
         return np.arange(profile.n)
     return np.flatnonzero(profile.indicators[:, u].all(axis=1))
+
+
+def refinement_path(
+    profile: SimilarityProfile, ordering, responses=None
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Cohort size and response sum after each prefix of an ordering.
+
+    Entry k of both arrays describes the cohort similar to the target on the
+    first k features of ``ordering`` (a non-empty sequence of distinct
+    features), for k = 0..len(ordering).  A row leaves the cohort at the
+    first position where it is dissimilar and never returns, so one argmin
+    per row finds its exit position and reverse cumulative counts over the
+    exits give every prefix at once.  The sums are None without responses.
+    """
+    S = profile.indicators[:, np.asarray(ordering, dtype=np.intp)]
+    k = S.shape[1]
+    first = S.argmin(axis=1)
+    exits = np.where(S[np.arange(len(S)), first], k, first)
+    sizes = np.bincount(exits, minlength=k + 1)[::-1].cumsum()[::-1]
+    if responses is None:
+        return sizes, None
+    sums = np.bincount(exits, weights=responses, minlength=k + 1)[::-1].cumsum()[::-1]
+    return sizes, sums
 
 
 def check_unit_cube(z, d: int) -> np.ndarray:

@@ -4,7 +4,6 @@ and cohort uniqueness."""
 from __future__ import annotations
 
 import math
-import threading
 from typing import Sequence
 
 import numpy as np
@@ -19,7 +18,7 @@ from .errors import (
     TargetOutOfRange,
 )
 from .shapley import ValueFunction
-from .similarity import SimilarityProfile
+from .similarity import SimilarityProfile, refinement_path
 
 
 def _superset_sums(masks: np.ndarray, weights: np.ndarray, d: int) -> np.ndarray:
@@ -51,7 +50,7 @@ class CohortValue(ValueFunction):
     """
 
     def __init__(self, profile: SimilarityProfile, responses):
-        super().__init__(profile.d, cost="cheap")
+        super().__init__(profile.d)
         responses = np.asarray(responses, dtype=float)
         if responses.shape != (profile.n,):
             raise ValueError(f"responses must have shape ({profile.n},), got {responses.shape}")
@@ -76,21 +75,9 @@ class CohortValue(ValueFunction):
         return sums / counts
 
     def permutation_increments(self, perm: np.ndarray) -> np.ndarray:
-        # Shrinking index list: refining on one feature only ever removes
-        # rows, so each step filters the current cohort in O(|cohort|).
-        dissim = ~self.profile.indicators
-        resp = self.responses
-        idx = np.arange(self.profile.n)
-        prev = float(resp.mean())
+        sizes, sums = refinement_path(self.profile, perm, self.responses)
         inc = np.empty(self.d)
-        for j in perm:
-            j = int(j)
-            keep = ~dissim[idx, j]
-            if not keep.all():
-                idx = idx[keep]
-            cur = float(resp[idx].mean())
-            inc[j] = cur - prev
-            prev = cur
+        inc[perm] = np.diff(sums / sizes)
         return inc
 
 
@@ -102,7 +89,7 @@ class UniquenessValue(ValueFunction):
     """
 
     def __init__(self, profile: SimilarityProfile):
-        super().__init__(profile.d, cost="cheap")
+        super().__init__(profile.d)
         self.profile = profile
         self.target_index = profile.target_index
 
@@ -123,18 +110,9 @@ class UniquenessValue(ValueFunction):
         return -np.log2(counts)
 
     def permutation_increments(self, perm: np.ndarray) -> np.ndarray:
-        dissim = ~self.profile.indicators
-        idx = np.arange(self.profile.n)
-        prev = -math.log2(len(idx))
+        sizes, _ = refinement_path(self.profile, perm)
         inc = np.empty(self.d)
-        for j in perm:
-            j = int(j)
-            keep = ~dissim[idx, j]
-            if not keep.all():
-                idx = idx[keep]
-            cur = -math.log2(len(idx))
-            inc[j] = cur - prev
-            prev = cur
+        inc[perm] = np.diff(-np.log2(sizes))
         return inc
 
 
@@ -151,7 +129,7 @@ class GkwValue(ValueFunction):
     """
 
     def __init__(self, ds: Dataset, target_index: int, sigma: float = 0.1, ridge: float = 1e-6):
-        super().__init__(ds.d, cost="expensive")
+        super().__init__(ds.d)
         if any(kind is ColumnKind.CATEGORICAL for kind in ds.kinds):
             raise CategoricalFeatureUnsupported(
                 "the kernel-weight value function needs all-numeric features"
@@ -176,28 +154,16 @@ class GkwValue(ValueFunction):
         self.responses = ds.responses
         self.target_index = target_index
         self.sigma = sigma
-        self._cache: dict[tuple[int, ...], tuple] = {}
-        self._lock = threading.Lock()
-
-    def _factor(self, u: tuple[int, ...]):
-        with self._lock:
-            hit = self._cache.get(u)
-        if hit is not None:
-            return hit
-        try:
-            factor = cho_factor(self._cov[np.ix_(u, u)])
-        except LinAlgError as exc:
-            raise SingularCovariance(f"covariance submatrix for {u} is not positive definite") from exc
-        with self._lock:
-            self._cache[u] = factor
-        return factor
 
     def weights(self, u: Sequence[int]) -> np.ndarray:
         """Kernel weight of every observation for the subset u (target gets 1)."""
         u = tuple(sorted(set(int(j) for j in u)))
         if not u:
             return np.ones(len(self.responses))
-        factor = self._factor(u)
+        try:
+            factor = cho_factor(self._cov[np.ix_(u, u)])
+        except LinAlgError as exc:
+            raise SingularCovariance(f"covariance submatrix for {u} is not positive definite") from exc
         cols = list(u)
         delta = self._X[:, cols] - self._X[self.target_index, cols]
         solved = cho_solve(factor, delta.T)

@@ -100,4 +100,4 @@ def make_table_vf(vals, d):
         def evaluate(self, u):
             return evaluate(u)
 
-    return _TableVF(d, cost="cheap")
+    return _TableVF(d)

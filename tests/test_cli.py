@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -170,6 +173,44 @@ def test_evaluate_dimension_mismatch(tmp_path):
     out = tmp_path / "abc.csv"
     assert run("evaluate", "--data", str(other), "--response", "y",
                "--attributions", str(attr), "--out", str(out)) == 3
+
+
+def _without(record, key):
+    return {k: v for k, v in record.items() if k != key}
+
+
+@pytest.mark.parametrize("line, corrupt", [
+    pytest.param(1, lambda h, r: ("{not json", r), id="header-json"),
+    pytest.param(2, lambda h, r: (h, json.dumps(r)[:-1]), id="record-json"),
+    pytest.param(2, lambda h, r: (h, _without(r, "target_index")), id="no-target-index"),
+    pytest.param(2, lambda h, r: (h, {**r, "target_index": 0.5}), id="float-target-index"),
+    pytest.param(2, lambda h, r: (h, {**r, "values": [1.0, 2.0]}), id="values-not-object"),
+    pytest.param(2, lambda h, r: (h, {**r, "values": {"x1": "high", "x2": 1.0}}), id="non-numeric-value"),
+])
+def test_evaluate_malformed_attribution_file(tmp_path, capsys, line, corrupt):
+    data = write_d3(tmp_path)
+    attr = tmp_path / "cs.jsonl"
+    assert run("attribute", *d3_args(data), "--method", "cs-exact",
+               "--targets", "0", "--out", str(attr)) == 0
+    header, (record,) = read_attribution(attr)
+    lines = [x if isinstance(x, str) else json.dumps(x) for x in corrupt(header, record)]
+    attr.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run("evaluate", *d3_args(data), "--attributions", str(attr),
+               "--out", str(tmp_path / "abc.csv")) == 3
+    (err_line,) = capsys.readouterr().err.splitlines()
+    err = json.loads(err_line)
+    assert err["error"] == "DataError"
+    assert err["message"].startswith(f"{attr}:{line}: ")
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    import cohortexplain
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cohortexplain.__file__)))
+    probe = "import sys, cohortexplain.cli; sys.exit('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", probe], env=env, timeout=120).returncode == 0
 
 
 def test_evaluate_plot_data(tmp_path):

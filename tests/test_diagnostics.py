@@ -141,7 +141,7 @@ def test_corner_matches_brute_force():
     for _ in range(5):
         profile = profile_with_counts(rng, n=10, d=8, low=1, high=8)
         report = corner_convergence(profile)
-        dissim_sets = [profile.dissim_set(i) for i in range(10) if i != 0]
+        dissim_sets = [set(np.flatnonzero(~profile.indicators[i]).tolist()) for i in range(1, 10)]
         inside = 0
         for mask in range(1 << 8):
             u = {j for j in range(8) if (mask >> j) & 1}

@@ -30,8 +30,6 @@ def test_quadrature_spec_validation():
     np.testing.assert_allclose(QuadratureSpec(2).nodes(), [0.25, 0.75])
     with pytest.raises(ConfigError):
         QuadratureSpec(0)
-    with pytest.raises(ConfigError):
-        QuadratureSpec(10, rule="simpson")
 
 
 def test_soft_value_examples(d3_soft):

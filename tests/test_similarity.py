@@ -1,19 +1,28 @@
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohortexplain import (
     AbsoluteRange,
+    CohortValue,
     Equality,
     RelativeRange,
+    SimilarityProfile,
     SimilaritySpec,
     TargetOutOfRange,
+    UniquenessValue,
+    ValueFunction,
     ZOutOfRange,
     build_profile,
     cohort,
+    conditional_curves,
     soft_similarity,
 )
 
 from conftest import make_dataset, random_binary_profile
+from oracles import cohort_mean_brute
 
 
 def test_d3_profile(d3_dataset, d3_spec):
@@ -21,9 +30,6 @@ def test_d3_profile(d3_dataset, d3_spec):
     np.testing.assert_array_equal(
         profile.indicators, [[True, True], [True, False], [False, False]]
     )
-    assert profile.dissim_set(0) == frozenset()
-    assert profile.dissim_set(1) == frozenset({1})
-    assert profile.dissim_set(2) == frozenset({0, 1})
     np.testing.assert_array_equal(profile.dissim_counts, [0, 1, 2])
 
 
@@ -63,21 +69,63 @@ def test_target_out_of_range(d3_dataset, d3_spec):
         build_profile(d3_dataset, d3_spec, -1)
 
 
-def test_bitsets_consistent_with_indicators():
+def check_refinement_against_oracles(profile, responses, ordering):
+    """Every consumer of the refinement kernel against a from-scratch oracle:
+    both ABC curves against the brute-force cohort mean on every prefix and
+    suffix, and both fast permutation increments against the generic
+    one-evaluation-per-prefix loop."""
+    ordering = np.asarray(ordering)
+    S = profile.indicators
+    cv = CohortValue(profile, responses)
+    insertion, deletion = conditional_curves(cv, ordering)
+    d = profile.d
+    np.testing.assert_allclose(
+        insertion, [cohort_mean_brute(S, responses, ordering[:k]) for k in range(d + 1)],
+        rtol=0, atol=1e-12,
+    )
+    np.testing.assert_allclose(
+        deletion, [cohort_mean_brute(S, responses, ordering[k:]) for k in range(d + 1)],
+        rtol=0, atol=1e-12,
+    )
+    for vf in (cv, UniquenessValue(profile)):
+        np.testing.assert_allclose(
+            vf.permutation_increments(ordering),
+            ValueFunction.permutation_increments(vf, ordering),
+            rtol=0, atol=1e-12,
+        )
+
+
+def test_refinement_matches_oracles_d67():
     rng = np.random.default_rng(11)
     profile = random_binary_profile(rng, n=40, d=67, target=5, density=0.6)
-    for i in range(profile.n):
-        expected = frozenset(np.flatnonzero(~profile.indicators[i]).tolist())
-        assert profile.dissim_set(i) == expected
-        assert profile.dissim_counts[i] == len(expected)
+    np.testing.assert_array_equal(profile.dissim_counts, (~profile.indicators).sum(axis=1))
+    check_refinement_against_oracles(profile, rng.normal(size=40), rng.permutation(67))
 
 
-def test_wide_bitsets():
+def test_refinement_matches_oracles_wide():
     rng = np.random.default_rng(3)
     profile = random_binary_profile(rng, n=8, d=4096, target=0, density=0.9)
-    assert profile.dissim_packed.shape == (8, 512)
-    i = int(np.argmax(profile.dissim_counts))
-    assert profile.dissim_set(i) == frozenset(np.flatnonzero(~profile.indicators[i]).tolist())
+    np.testing.assert_array_equal(profile.dissim_counts, (~profile.indicators).sum(axis=1))
+    check_refinement_against_oracles(profile, rng.normal(size=8), rng.permutation(4096))
+
+
+@st.composite
+def refinement_cases(draw):
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 70))
+    S = draw(hnp.arrays(bool, (n, d)))
+    target = draw(st.integers(0, n - 1))
+    # the target plus any drawn rows are all-similar, i.e. duplicates of it
+    S[[target, *draw(st.lists(st.integers(0, n - 1), max_size=n))]] = True
+    responses = draw(hnp.arrays(float, n, elements=st.floats(-1.0, 1.0)))
+    ordering = draw(st.permutations(range(d)))
+    return SimilarityProfile.from_indicators(S, target), responses, ordering
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(refinement_cases())
+def test_refinement_property(case):
+    check_refinement_against_oracles(*case)
 
 
 def test_cohort(d3_profile):
