@@ -16,6 +16,8 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -23,6 +25,7 @@ from .data import (
     AbsoluteRange,
     AbsResidual,
     ColumnKind,
+    Dataset,
     Equality,
     Raw,
     RelativeRange,
@@ -44,21 +47,101 @@ from .errors import (
 from .evaluation import abc_report
 from .igcs import QuadratureSpec, SoftValue, igcs_attribution
 from .sampling import fisher_yates, rng_from
-from .shapley import DEFAULT_DIMENSION_CAP, Attribution, exact_shapley, mc_shapley
-from .similarity import build_profile
+from .shapley import DEFAULT_DIMENSION_CAP, Attribution, _finish, exact_shapley, mc_shapley
+from .similarity import SimilarityProfile, build_profile
 from .values import CohortValue, GkwValue, UniquenessValue
 
 ATTRIBUTION_SCHEMA = "cohortexplain.attribution/1"
 THREADS_ENV = "COHORTEXPLAIN_THREADS"
-METHODS = ("cs-exact", "igcs", "cs-mc", "gkw", "uniqueness", "random")
-_METHOD_PARAMS = {
-    "cs-exact": frozenset(),
-    "igcs": frozenset({"steps"}),
-    "cs-mc": frozenset({"samples", "seed"}),
-    "gkw": frozenset({"sigma"}),
-    "uniqueness": frozenset(),
-    "random": frozenset({"seed"}),
+DEFAULTS = {"steps": 50, "samples": 1000, "sigma": 0.1, "seed": 0, "cap": DEFAULT_DIMENSION_CAP}
+
+
+# ---------------------------------------------------------------------------
+# Method registry
+#
+# Every ``run`` looks the engines up in this module's globals when it is
+# called, so a wrapper installed over e.g. ``cli.igcs_attribution`` sees the
+# calls of ``attribute`` and ``compare`` alike.
+
+@dataclass(frozen=True)
+class TargetContext:
+    """One target's profile and cohort value, built once and read by both the
+    attribution engine and the ABC report."""
+
+    ds: Dataset
+    target: int
+    profile: SimilarityProfile
+    value: CohortValue
+
+
+def _context(ds, spec, target: int) -> TargetContext:
+    profile = build_profile(ds, spec, target)
+    return TargetContext(ds, target, profile, CohortValue(profile, ds.responses))
+
+
+@dataclass(frozen=True)
+class Method:
+    """The options a method reads (and writes into the attribution header),
+    how it attributes one target, and the count option that ``compare``
+    sweeps as a comma list."""
+
+    options: tuple[str, ...]
+    run: Callable[[TargetContext, dict], Attribution]
+    sweep: Optional[str] = None
+
+
+def _cs_mc(t: TargetContext, p: dict) -> Attribution:
+    attr = mc_shapley(t.value, p["samples"], seed=rng_from(p["seed"], t.target))
+    attr.meta["seed"] = p["seed"]
+    return attr
+
+
+def _gkw(t: TargetContext, p: dict) -> Attribution:
+    attr = exact_shapley(GkwValue(t.ds, t.target, sigma=p["sigma"]), cap=p["cap"])
+    attr.meta["sigma"] = p["sigma"]
+    return attr
+
+
+def _random(t: TargetContext, p: dict) -> Attribution:
+    """Ordering carrier: a seeded permutation encoded as ranks d..1."""
+    d, nu = t.profile.d, t.value
+    values = np.empty(d)
+    values[fisher_yates(rng_from(p["seed"], t.target), d)] = np.arange(d, 0, -1, dtype=float)
+    return _finish("random", values, nu.evaluate(()), nu.evaluate(tuple(range(d))), t.target, seed=p["seed"])
+
+
+METHODS = {
+    "cs-exact": Method(("cap",), lambda t, p: exact_shapley(t.value, cap=p["cap"])),
+    "igcs": Method(
+        ("steps",),
+        lambda t, p: igcs_attribution(SoftValue(t.profile, t.ds.responses), QuadratureSpec(p["steps"])),
+        sweep="steps",
+    ),
+    "cs-mc": Method(("samples", "seed"), _cs_mc, sweep="samples"),
+    "gkw": Method(("cap", "sigma"), _gkw),
+    "uniqueness": Method(("cap",), lambda t, p: exact_shapley(UniquenessValue(t.profile), cap=p["cap"])),
+    "random": Method(("seed",), _random),
 }
+
+
+def _method_params(args, names: list[str]) -> dict:
+    """DEFAULTS overridden by the options given; an option that none of
+    ``names`` reads is an error (``--cap`` is accepted with any method)."""
+    given = {k for k in DEFAULTS if getattr(args, k) is not None}
+    stray = given - {"cap"} - {o for name in names for o in METHODS[name].options}
+    if stray:
+        raise ConfigError(
+            f"option(s) {sorted('--' + s for s in stray)} not valid with method(s) {', '.join(names)}"
+        )
+    return {k: getattr(args, k) if k in given else v for k, v in DEFAULTS.items()}
+
+
+def _attribute_one(ds, spec, name: str, params: dict, target: int):
+    """(context, attribution, seconds) for one target."""
+    start = time.perf_counter()
+    ctx = _context(ds, spec, target)
+    attr = METHODS[name].run(ctx, params)
+    return ctx, attr, time.perf_counter() - start
 
 
 # ---------------------------------------------------------------------------
@@ -90,12 +173,14 @@ def _parse_targets(text: str, n: int) -> list[int]:
         try:
             if "-" in token and not token.startswith("-"):
                 lo_s, hi_s = token.split("-", 1)
-                span = range(int(lo_s), int(hi_s) + 1)
+                lo, hi = int(lo_s), int(hi_s)
             else:
-                span = [int(token)]
+                lo = hi = int(token)
         except ValueError:
             raise ConfigError(f"bad target token {token!r}") from None
-        for t in span:
+        if lo > hi:
+            raise ConfigError(f"bad target range {token!r}: {lo} > {hi}")
+        for t in range(lo, hi + 1):
             if not 0 <= t < n:
                 raise ConfigError(f"target {t} outside [0, {n})")
             if t not in seen:
@@ -126,8 +211,12 @@ def _similarity_from_args(args, ds):
     default = None
     overrides = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            default, overrides = parse_similarity_config(fh.read())
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{args.config}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+        default, overrides = parse_similarity_config(text)
     if args.delta is not None:
         default = RelativeRange(args.delta)
     if default is None:
@@ -187,100 +276,35 @@ def _base_config(args, command: str, ds, default, overrides) -> dict:
     }
 
 
+def _write_csv(path, config: dict, header: list, rows) -> None:
+    """A ``# config:`` line, then a CSV header and the rows."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 # ---------------------------------------------------------------------------
 # attribute
 
-def _validate_method_params(args):
-    given = {name for name in ("steps", "samples", "sigma", "seed") if getattr(args, name) is not None}
-    allowed = _METHOD_PARAMS[args.method]
-    stray = given - allowed
-    if stray:
-        raise ConfigError(
-            f"option(s) {sorted('--' + s for s in stray)} not valid with method {args.method!r}"
-        )
-
-
-def _random_attribution(profile, responses, seed: int) -> Attribution:
-    """Ordering carrier: a seeded permutation encoded as ranks d..1."""
-    d = profile.d
-    perm = fisher_yates(rng_from(seed, profile.target_index), d)
-    values = np.empty(d)
-    values[perm] = np.arange(d, 0, -1, dtype=float)
-    cv = CohortValue(profile, responses)
-    nu_empty = cv.evaluate(())
-    nu_full = cv.evaluate(tuple(range(d)))
-    return Attribution(
-        method="random",
-        values=values,
-        nu_empty=nu_empty,
-        nu_full=nu_full,
-        efficiency_gap=(nu_full - nu_empty) - float(values.sum()),
-        target_index=profile.target_index,
-        meta={"seed": seed},
-    )
-
-
-def _attribute_one(ds, spec, method: str, target: int, params: dict) -> tuple[dict, float]:
-    start = time.perf_counter()
-    profile = build_profile(ds, spec, target)
-    if method == "cs-exact":
-        attr = exact_shapley(CohortValue(profile, ds.responses), cap=params["cap"])
-    elif method == "igcs":
-        attr = igcs_attribution(SoftValue(profile, ds.responses), QuadratureSpec(params["steps"]))
-    elif method == "cs-mc":
-        attr = mc_shapley(
-            CohortValue(profile, ds.responses),
-            params["samples"],
-            seed=rng_from(params["seed"], target),
-        )
-        attr.meta["seed"] = params["seed"]
-    elif method == "gkw":
-        attr = exact_shapley(GkwValue(ds, target, sigma=params["sigma"]), cap=params["cap"])
-        attr.meta["sigma"] = params["sigma"]
-    elif method == "uniqueness":
-        attr = exact_shapley(UniquenessValue(profile), cap=params["cap"])
-    elif method == "random":
-        attr = _random_attribution(profile, ds.responses, params["seed"])
-    else:
-        raise ConfigError(f"unknown method {method!r}")
-    seconds = time.perf_counter() - start
-
-    record = {
-        "target_index": target,
-        "method": method,
-        "values": {name: float(v) for name, v in zip(ds.column_names, attr.values)},
-        "nu_empty": attr.nu_empty,
-        "nu_full": attr.nu_full,
-        "efficiency_gap": attr.efficiency_gap,
-        "params": {k: v for k, v in attr.meta.items() if v is not None},
-    }
-    if attr.stderr is not None:
-        record["stderr"] = {name: float(v) for name, v in zip(ds.column_names, attr.stderr)}
-    return record, seconds
-
-
 def _cmd_attribute(args) -> int:
-    _validate_method_params(args)
+    method = METHODS[args.method]
+    params = _method_params(args, [args.method])
+    if method.sweep and params[method.sweep] < 1:
+        raise ConfigError(f"--{method.sweep} must be >= 1, got {params[method.sweep]}")
     ds = _load(args)
     spec, default, overrides = _similarity_from_args(args, ds)
     targets = _parse_targets(args.targets, ds.n)
-    params = {
-        "steps": args.steps if args.steps is not None else 50,
-        "samples": args.samples if args.samples is not None else 1000,
-        "sigma": args.sigma if args.sigma is not None else 0.1,
-        "seed": args.seed if args.seed is not None else 0,
-        "cap": args.cap,
-    }
-    if params["samples"] < 1:
-        raise ConfigError(f"--samples must be >= 1, got {params['samples']}")
     config = _base_config(args, "attribute", ds, default, overrides)
     config.update({"method": args.method, "targets": args.targets})
-    for name in sorted(_METHOD_PARAMS[args.method] | ({"cap"} if args.method in ("cs-exact", "gkw", "uniqueness") else set())):
-        config[name] = params[name]
+    config.update({k: params[k] for k in method.options})
 
-    results = _map_ordered(
-        lambda t: _attribute_one(ds, spec, args.method, t, params), targets, _thread_count(args)
-    )
+    def one(t):  # keeps only the record, so no target's profile outlives its worker
+        ctx, attr, seconds = _attribute_one(ds, spec, args.method, params, t)
+        return _record(ctx, args.method, attr), seconds
+
+    results = _map_ordered(one, targets, _thread_count(args))
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(json.dumps(config, sort_keys=True) + "\n")
         for record, _ in results:
@@ -300,6 +324,22 @@ def _cmd_attribute(args) -> int:
     return 0
 
 
+def _record(ctx: TargetContext, method: str, attr: Attribution) -> dict:
+    names = ctx.ds.column_names
+    record = {
+        "target_index": ctx.target,
+        "method": method,
+        "values": {name: float(v) for name, v in zip(names, attr.values)},
+        "nu_empty": attr.nu_empty,
+        "nu_full": attr.nu_full,
+        "efficiency_gap": attr.efficiency_gap,
+        "params": {k: v for k, v in attr.meta.items() if v is not None},
+    }
+    if attr.stderr is not None:
+        record["stderr"] = {name: float(v) for name, v in zip(names, attr.stderr)}
+    return record
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 
@@ -315,8 +355,11 @@ def _json_object(text: str, where: str) -> dict:
 
 def _read_attribution_file(path) -> tuple[dict, list[tuple[str, dict]]]:
     """Header and (location, record) pairs; the location is PATH:LINE."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [(f"{path}:{no}", line) for no, line in enumerate(fh, start=1) if line.strip()]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [(f"{path}:{no}", line) for no, line in enumerate(fh, start=1) if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
     if not lines:
         raise DataError(f"{path}: empty attribution file")
     where, line = lines[0]
@@ -364,119 +407,86 @@ def _cmd_evaluate(args) -> int:
         _, records = _read_attribution_file(path)
         for where, record in records:
             target, values = _record_values(record, ds, where)
-            profile = build_profile(ds, spec, target)
-            report = abc_report(CohortValue(profile, ds.responses), values)
+            report = abc_report(_context(ds, spec, target).value, values)
             method = record.get("method", "?")
-            rows.append((str(path), method, "target", target, report.abc_insertion, report.abc_deletion))
+            rows.append([str(path), method, "target", target, repr(report.abc_insertion), repr(report.abc_deletion)])
             groups.setdefault((str(path), method), []).append((report.abc_insertion, report.abc_deletion))
             if args.plot_data:
-                for k, value in enumerate(report.insertion_curve):
-                    curve_rows.append((str(path), method, target, "insertion", k, value))
-                for k, value in enumerate(report.deletion_curve):
-                    curve_rows.append((str(path), method, target, "deletion", k, value))
+                for curve, points in (("insertion", report.insertion_curve), ("deletion", report.deletion_curve)):
+                    curve_rows.extend([str(path), method, target, curve, k, repr(float(v))] for k, v in enumerate(points))
+    for (source, method), scores in groups.items():
+        mean, se = _mean_se(scores)
+        rows.append([source, method, "mean", "", repr(mean[0]), repr(mean[1])])
+        rows.append([source, method, "stderr", "", repr(se[0]), repr(se[1])])
 
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["source", "method", "row", "target_index", "abc_insertion", "abc_deletion"])
-        for row in rows:
-            writer.writerow([row[0], row[1], row[2], row[3], repr(row[4]), repr(row[5])])
-        for (source, method), scores in groups.items():
-            arr = np.asarray(scores)
-            mean = arr.mean(axis=0)
-            se = arr.std(axis=0, ddof=1) / np.sqrt(len(arr)) if len(arr) > 1 else np.zeros(2)
-            writer.writerow([source, method, "mean", "", repr(float(mean[0])), repr(float(mean[1]))])
-            writer.writerow([source, method, "stderr", "", repr(float(se[0])), repr(float(se[1]))])
-
+    _write_csv(args.out, config, ["source", "method", "row", "target_index", "abc_insertion", "abc_deletion"], rows)
     if args.plot_data:
-        with open(args.plot_data, "w", encoding="utf-8", newline="") as fh:
-            fh.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["source", "method", "target_index", "curve", "k", "value"])
-            for row in curve_rows:
-                writer.writerow([row[0], row[1], row[2], row[3], row[4], repr(float(row[5]))])
+        _write_csv(args.plot_data, config, ["source", "method", "target_index", "curve", "k", "value"], curve_rows)
     return 0
+
+
+def _mean_se(scores) -> tuple[list[float], list[float]]:
+    """Column means and standard errors (zero for one row) of (insertion, deletion) pairs."""
+    arr = np.asarray(scores)
+    se = arr.std(axis=0, ddof=1) / np.sqrt(len(arr)) if len(arr) > 1 else np.zeros(2)
+    return arr.mean(axis=0).tolist(), se.tolist()
 
 
 # ---------------------------------------------------------------------------
 # compare
 
-def _compare_variants(args) -> list[tuple[str, dict]]:
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if not methods:
-        raise ConfigError("--methods must name at least one method")
-    for m in methods:
-        if m not in METHODS:
-            raise ConfigError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
-    try:
-        steps_list = [int(s) for s in (args.steps or "50").split(",")]
-        samples_list = [int(s) for s in (args.samples or "1000").split(",")]
-    except ValueError:
-        raise ConfigError("--steps and --samples take comma-separated integers") from None
-    if any(s < 1 for s in steps_list) or any(m < 1 for m in samples_list):
-        raise ConfigError("--steps and --samples values must be >= 1")
+def _compare_variants(names: list[str], params: dict) -> list[tuple[str, str, dict]]:
+    """(method, param label, params) per table row: one row per value of the
+    method's sweep option, one row for a method without one."""
     variants = []
-    for method in methods:
-        if method == "igcs":
-            variants.extend((method, {"steps": r}) for r in steps_list)
-        elif method == "cs-mc":
-            variants.extend((method, {"samples": m}) for m in samples_list)
-        else:
-            variants.append((method, {}))
+    for name in names:
+        opt = METHODS[name].sweep
+        if opt is None:
+            variants.append((name, "", params))
+            continue
+        try:
+            values = [int(v) for v in str(params[opt]).split(",")]
+        except ValueError:
+            raise ConfigError(f"--{opt} takes comma-separated integers") from None
+        if min(values) < 1:
+            raise ConfigError(f"--{opt} values must be >= 1, got {params[opt]}")
+        variants.extend((name, f"{opt}={v}", {**params, opt: v}) for v in values)
     return variants
 
 
 def _cmd_compare(args) -> int:
+    names = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not names:
+        raise ConfigError("--methods must name at least one method")
+    for m in names:
+        if m not in METHODS:
+            raise ConfigError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
+    params = _method_params(args, names)
+    variants = _compare_variants(names, params)
     ds = _load(args)
     spec, default, overrides = _similarity_from_args(args, ds)
     targets = _parse_targets(args.targets, ds.n)
-    variants = _compare_variants(args)
-    seed = args.seed if args.seed is not None else 0
-    sigma = args.sigma if args.sigma is not None else 0.1
     threads = _thread_count(args)
-
     config = _base_config(args, "compare", ds, default, overrides)
-    config.update({"methods": args.methods, "targets": args.targets, "seed": seed})
+    config.update({"methods": args.methods, "targets": args.targets, "seed": params["seed"]})
 
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([
-            "method", "param", "targets",
-            "mean_abc_insertion", "se_abc_insertion",
-            "mean_abc_deletion", "se_abc_deletion",
-            "seconds_per_target",
-        ])
-        for method, extra in variants:
-            params = {
-                "steps": extra.get("steps", 50),
-                "samples": extra.get("samples", 1000),
-                "sigma": sigma,
-                "seed": seed,
-                "cap": args.cap,
-            }
+    def one(name, variant, t):
+        ctx, attr, seconds = _attribute_one(ds, spec, name, variant, t)
+        report = abc_report(ctx.value, attr.values)
+        return (report.abc_insertion, report.abc_deletion), seconds
 
-            def one(t):
-                record, seconds = _attribute_one(ds, spec, method, t, params)
-                values = np.array([record["values"][name] for name in ds.column_names])
-                profile = build_profile(ds, spec, t)
-                report = abc_report(CohortValue(profile, ds.responses), values)
-                return report.abc_insertion, report.abc_deletion, seconds
-
-            results = _map_ordered(one, targets, threads)
-            arr = np.asarray([(i, d_) for i, d_, _ in results])
-            secs = float(np.mean([s for _, _, s in results]))
-            mean = arr.mean(axis=0)
-            se = arr.std(axis=0, ddof=1) / np.sqrt(len(arr)) if len(arr) > 1 else np.zeros(2)
-            param = ("steps=" + str(params["steps"])) if method == "igcs" else (
-                ("samples=" + str(params["samples"])) if method == "cs-mc" else ""
-            )
-            writer.writerow([
-                method, param, len(targets),
-                repr(float(mean[0])), repr(float(se[0])),
-                repr(float(mean[1])), repr(float(se[1])),
-                f"{secs:.6f}",
-            ])
+    rows = []
+    for name, label, variant in variants:
+        results = _map_ordered(lambda t: one(name, variant, t), targets, threads)
+        mean, se = _mean_se([scores for scores, _ in results])
+        secs = float(np.mean([s for _, s in results]))
+        rows.append([name, label, len(targets), repr(mean[0]), repr(se[0]), repr(mean[1]), repr(se[1]), f"{secs:.6f}"])
+    _write_csv(args.out, config, [
+        "method", "param", "targets",
+        "mean_abc_insertion", "se_abc_insertion",
+        "mean_abc_deletion", "se_abc_deletion",
+        "seconds_per_target",
+    ], rows)
     return 0
 
 
@@ -489,34 +499,28 @@ def _cmd_diagnose(args) -> int:
     targets = _parse_targets(args.targets, ds.n)
     if args.samples < 1:
         raise ConfigError(f"--samples must be >= 1, got {args.samples}")
-    seed = args.seed if args.seed is not None else 0
     config = _base_config(args, "diagnose", ds, default, overrides)
-    config.update({"targets": args.targets, "eps": args.eps, "samples": args.samples, "seed": seed})
+    config.update({"targets": args.targets, "eps": args.eps, "samples": args.samples, "seed": args.seed})
 
     def one(t):
         profile = build_profile(ds, spec, t)
-        report = heps_mass(profile, args.eps, args.samples, seed)
+        report = heps_mass(profile, args.eps, args.samples, args.seed)
         corner = corner_convergence(profile) if ds.d <= 20 else None
-        return report, corner
+        return [
+            report.target_index, repr(report.eps), repr(report.a), repr(report.A),
+            report.duplicates, report.rows_used,
+            repr(report.mass_estimate), repr(report.mass_se), repr(report.theorem_bound),
+            report.samples, report.seed,
+            repr(corner.fraction) if corner else "",
+            repr(corner.bound) if corner else "",
+        ]
 
-    results = _map_ordered(one, targets, _thread_count(args))
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([
-            "target_index", "eps", "a", "A", "duplicates", "rows_used",
-            "mass_estimate", "mass_se", "theorem_bound", "samples", "seed",
-            "corner_fraction", "corner_bound",
-        ])
-        for report, corner in results:
-            writer.writerow([
-                report.target_index, repr(report.eps), repr(report.a), repr(report.A),
-                report.duplicates, report.rows_used,
-                repr(report.mass_estimate), repr(report.mass_se), repr(report.theorem_bound),
-                report.samples, report.seed,
-                repr(corner.fraction) if corner else "",
-                repr(corner.bound) if corner else "",
-            ])
+    rows = _map_ordered(one, targets, _thread_count(args))
+    _write_csv(args.out, config, [
+        "target_index", "eps", "a", "A", "duplicates", "rows_used",
+        "mass_estimate", "mass_se", "theorem_bound", "samples", "seed",
+        "corner_fraction", "corner_bound",
+    ], rows)
     return 0
 
 
@@ -531,12 +535,7 @@ def _cmd_similarity(args) -> int:
     profile = build_profile(ds, spec, args.target)
     config = _base_config(args, "similarity", ds, default, overrides)
     config["target"] = args.target
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(ds.column_names)
-        for row in profile.indicators.astype(int):
-            writer.writerow(row.tolist())
+    _write_csv(args.out, config, ds.column_names, profile.indicators.astype(int).tolist())
     return 0
 
 
@@ -584,8 +583,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, help="permutation samples (cs-mc)")
     p.add_argument("--sigma", type=float, help="kernel bandwidth (gkw)")
     p.add_argument("--seed", type=int, help="random seed (cs-mc, random)")
-    p.add_argument("--cap", type=int, default=DEFAULT_DIMENSION_CAP,
-                   help="dimension cap for exact methods")
+    p.add_argument("--cap", type=int, help=f"dimension cap for exact methods (default {DEFAULTS['cap']})")
     p.add_argument("--out", required=True, help="output attribution file (JSON lines)")
     p.add_argument("--timing-out", help="optional JSON sidecar with per-target seconds")
     p.set_defaults(func=_cmd_attribute)
@@ -605,7 +603,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", help="comma-separated sample budgets for cs-mc rows")
     p.add_argument("--sigma", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--cap", type=int, default=DEFAULT_DIMENSION_CAP)
+    p.add_argument("--cap", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_compare)
 
@@ -614,7 +612,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets", default="all")
     p.add_argument("--eps", type=float, default=0.01)
     p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=DEFAULTS["seed"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_diagnose)
 
@@ -642,10 +640,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         _fail(exc)
         return 2
-    except DataError as exc:
-        _fail(exc)
-        return 3
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         _fail(exc)
         return 3
     except ComputationError as exc:

@@ -164,18 +164,32 @@ class Dataset:
             raise MissingColumn(name) from None
 
 
-def _parse_real(cell: str) -> Optional[float]:
-    """Parse a finite real, or None if the cell is not numeric."""
+def _parse_column(cells: list[str]) -> Optional[np.ndarray]:
+    """The cells as finite reals, or None if any cell is not one."""
     try:
-        value = float(cell)
+        values = np.array([float(cell) for cell in cells])
     except ValueError:
         return None
-    return value if np.isfinite(value) else None
+    return values if np.isfinite(values).all() else None
+
+
+def _numeric_column(name: str, cells: list[str], error, values: Optional[np.ndarray] = None) -> np.ndarray:
+    """The cells as finite reals, or ``error`` naming the first bad row.
+    ``values`` is the column's ``_parse_column`` result if the caller has it."""
+    if values is None:
+        values = _parse_column(cells)
+    if values is None:
+        row = next(r for r, cell in enumerate(cells) if _parse_column([cell]) is None)
+        raise error(name, row, cells[row])
+    return values
 
 
 def _read_rows(path) -> tuple[list[str], list[list[str]]]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
     if not rows:
         raise EmptyDataset(f"{path}: file is empty")
     header, data = rows[0], rows[1:]
@@ -190,16 +204,6 @@ def _read_rows(path) -> tuple[list[str], list[list[str]]]:
             if cell == "":
                 raise MissingValue(r, header[c])
     return header, data
-
-
-def _numeric_column(name: str, cells: list[str], error) -> np.ndarray:
-    out = np.empty(len(cells))
-    for r, cell in enumerate(cells):
-        value = _parse_real(cell)
-        if value is None:
-            raise error(name, r, cell)
-        out[r] = value
-    return out
 
 
 def load_dataset(
@@ -254,16 +258,15 @@ def load_dataset(
     for j, name in enumerate(feature_names):
         cells = columns[name]
         kind = overrides.get(name)
+        values = None if kind is ColumnKind.CATEGORICAL else _parse_column(cells)
         if kind is None:
-            parsed = [_parse_real(cell) for cell in cells]
-            kind = ColumnKind.NUMERIC if all(v is not None for v in parsed) else ColumnKind.CATEGORICAL
+            kind = ColumnKind.CATEGORICAL if values is None else ColumnKind.NUMERIC
         if kind is ColumnKind.NUMERIC:
-            matrix[:, j] = _numeric_column(name, cells, NonNumericValue)
+            matrix[:, j] = _numeric_column(name, cells, NonNumericValue, values)
             categories.append(None)
         else:
             codes: dict[str, int] = {}
-            for r, cell in enumerate(cells):
-                matrix[r, j] = codes.setdefault(cell, len(codes))
+            matrix[:, j] = [codes.setdefault(cell, len(codes)) for cell in cells]
             categories.append(tuple(codes))
         kinds.append(kind)
 

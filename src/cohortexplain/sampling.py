@@ -19,10 +19,10 @@ def fisher_yates(rng: np.random.Generator, d: int) -> np.ndarray:
 
     Spelled out rather than delegated so the draw sequence is pinned to the
     generator's integer stream and stable across platforms and library
-    versions.
+    versions.  The swap indices j_i in [0, i], i = d-1 .. 1, come from one
+    array draw, which reads the stream as one scalar draw per i would.
     """
-    perm = np.arange(d)
-    for i in range(d - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
+    perm = list(range(d))
+    for i, j in zip(range(d - 1, 0, -1), rng.integers(0, np.arange(d, 1, -1)).tolist()):
         perm[i], perm[j] = perm[j], perm[i]
-    return perm
+    return np.array(perm, dtype=int)

@@ -101,3 +101,38 @@ def make_table_vf(vals, d):
             return evaluate(u)
 
     return _TableVF(d)
+
+
+def fisher_yates_scalar(rng, d):
+    """Fisher-Yates with one scalar ``rng.integers(0, i + 1)`` draw per
+    position i = d-1 .. 1; the reference draw sequence."""
+    perm = np.arange(d)
+    for i in range(d - 1, 0, -1):
+        j = int(rng.integers(0, i + 1))
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+def finite_real(cell):
+    """float(cell) when that is a finite real, else None; one cell at a time."""
+    try:
+        value = float(cell)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def infer_column(cells):
+    """(kind, column, categories) by the documented rule: numeric when every
+    cell is a finite real, else integer codes in first-appearance order."""
+    parsed = [finite_real(cell) for cell in cells]
+    if all(v is not None for v in parsed):
+        return "numeric", np.array(parsed, dtype=float), None
+    codes = {}
+    column = np.array([codes.setdefault(cell, len(codes)) for cell in cells], dtype=float)
+    return "categorical", column, tuple(codes)
+
+
+def first_non_real(cells):
+    """Row index of the first cell that is not a finite real, or None."""
+    return next((r for r, cell in enumerate(cells) if finite_real(cell) is None), None)

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from cohortexplain import cli
 from cohortexplain.cli import main
 
 D3_CSV = "x1,x2,y\n0,0,1\n0,1,2\n1,1,3\n"
@@ -324,6 +325,8 @@ def test_bad_targets_exit_code(tmp_path):
                "--targets", "7", "--out", str(out)) == 2
     assert run("attribute", *d3_args(data), "--method", "igcs",
                "--targets", "zz", "--out", str(out)) == 2
+    assert run("attribute", *d3_args(data), "--method", "igcs",
+               "--targets", "0,2-1", "--out", str(out)) == 2  # reversed range
 
 
 def test_targets_range_parsing(tmp_path):
@@ -347,3 +350,86 @@ def test_residual_mode_cli(tmp_path):
     assert run("attribute", "--data", str(path), "--response", "y",
                "--response-mode", "bogus", "--similarity", "x=equality",
                "--method", "cs-exact", "--targets", "0", "--out", str(out)) == 2
+
+
+def _counting(monkeypatch, name):
+    """Wrap cli.<name> the way an outside tracer does; returns the call list."""
+    calls = []
+    original = getattr(cli, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, wrapper)
+    return calls
+
+
+def test_compare_builds_each_profile_once(tmp_path, monkeypatch):
+    data = write_d3(tmp_path)
+    calls = _counting(monkeypatch, "build_profile")
+    assert run("compare", *d3_args(data), "--methods", "igcs,cs-mc", "--steps", "5,10",
+               "--samples", "3", "--targets", "all", "--threads", "1",
+               "--out", str(tmp_path / "cmp.csv")) == 0
+    assert len(calls) == 3 * 3  # (igcs x 2 + cs-mc) variants x 3 targets
+
+
+@pytest.mark.parametrize("methods, option", [
+    ("cs-exact", ["--steps", "5"]),
+    ("igcs", ["--samples", "5"]),
+    ("igcs,cs-mc", ["--sigma", "0.5"]),
+    ("igcs,uniqueness", ["--seed", "1"]),
+])
+def test_compare_rejects_stray_options(tmp_path, methods, option):
+    data = write_d3(tmp_path)
+    assert run("compare", *d3_args(data), "--methods", methods, *option,
+               "--targets", "0", "--out", str(tmp_path / "cmp.csv")) == 2
+
+
+def test_engine_wrappers_seen_by_attribute_and_compare(tmp_path, monkeypatch):
+    data = write_d3(tmp_path)
+    calls = _counting(monkeypatch, "igcs_attribution")
+    assert run("attribute", *d3_args(data), "--method", "igcs", "--targets", "all",
+               "--out", str(tmp_path / "a.jsonl")) == 0
+    assert len(calls) == 3
+    assert run("compare", *d3_args(data), "--methods", "igcs,cs-exact", "--targets", "0-1",
+               "--out", str(tmp_path / "cmp.csv")) == 0
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("method, options", [
+    ("cs-exact", {"cap": 25}),
+    ("gkw", {"cap": 25, "sigma": 0.1}),
+    ("uniqueness", {"cap": 25}),
+    ("igcs", {"steps": 50}),
+    ("cs-mc", {"samples": 1000, "seed": 0}),
+    ("random", {"seed": 0}),
+])
+def test_attribute_header_method_options(tmp_path, method, options):
+    data = write_d3(tmp_path)
+    out = tmp_path / "a.jsonl"
+    assert run("attribute", *d3_args(data), "--method", method, "--targets", "0",
+               "--out", str(out)) == 0
+    header, _ = read_attribution(out)
+    common = {"schema", "command", "data", "response", "response_mode", "schema_overrides",
+              "similarity_default", "similarity_overrides", "n", "d", "method", "targets"}
+    assert {k: v for k, v in header.items() if k not in common} == options
+
+
+@pytest.mark.parametrize("which, code", [("data", 3), ("attributions", 3), ("config", 2)])
+def test_non_utf8_input_exit_code(tmp_path, capsys, which, code):
+    data = write_d3(tmp_path)
+    attr = tmp_path / "cs.jsonl"
+    assert run("attribute", *d3_args(data), "--method", "cs-exact", "--targets", "0",
+               "--out", str(attr)) == 0
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("similarity.default = relative:0.5\n", encoding="utf-8")
+    paths = {"data": data, "attributions": attr, "config": cfg}
+    bad = paths[which]
+    bad.write_bytes(b"\xff" + bad.read_bytes())
+    capsys.readouterr()
+    assert run("evaluate", "--data", str(data), "--response", "y", "--config", str(cfg),
+               "--attributions", str(attr), "--out", str(tmp_path / "abc.csv")) == code
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == ("ConfigError" if code == 2 else "DataError")
+    assert err["message"].startswith(f"{bad}: ")

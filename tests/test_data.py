@@ -1,5 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohortexplain import (
     AbsoluteRange,
@@ -25,6 +29,7 @@ from cohortexplain import (
 from cohortexplain.data import parse_rule, parse_similarity_config
 
 from conftest import make_dataset
+from oracles import first_non_real, infer_column
 
 
 def write(path, text):
@@ -108,6 +113,65 @@ def test_non_finite_tokens_are_not_numeric(tmp_path):
     path = write(tmp_path / "d.csv", "a,y\nnan,1\n2,2\n")
     ds = load_dataset(path, "y")
     assert ds.kinds == (ColumnKind.CATEGORICAL,)
+
+
+NUMERIC_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from([" 1 ", "1_0", "+7", ".5", "1.", "-0", "1E3", "\uff11"]),
+)
+ANY_CELLS = st.one_of(
+    NUMERIC_CELLS,
+    st.sampled_from(["1e400", "-1e400", "nan", "NaN", "inf", "-Infinity", "0x10", "1,5",
+                     '"3"', "1__0", " ", "abc", "\u00e9"]),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+            min_size=1, max_size=6),
+)
+
+
+@st.composite
+def csv_tables(draw):
+    """Columns of string cells (the last one is the response) and a set of
+    feature columns forced numeric."""
+    n = draw(st.integers(1, 8))
+    d = draw(st.integers(1, 4))
+    columns = [draw(st.lists(draw(st.sampled_from([NUMERIC_CELLS, ANY_CELLS])), min_size=n, max_size=n))
+               for _ in range(d + 1)]
+    return columns, draw(st.sets(st.integers(0, d - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=csv_tables())
+def test_loader_matches_per_cell_oracle(tmp_path_factory, table):
+    columns, forced = table
+    *features, y = columns
+    names = [f"c{j}" for j in range(len(features))]
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)  # "\r\n" rows, so that cells holding "\r" or "\n" are quoted
+        writer.writerow(names + ["y"])
+        writer.writerows(zip(*columns))
+    overrides = {names[j]: ColumnKind.NUMERIC for j in forced}
+
+    bad_y = first_non_real(y)
+    bad_forced = [(names[j], first_non_real(features[j])) for j in sorted(forced)]
+    bad_forced = [(name, row) for name, row in bad_forced if row is not None]
+    if bad_y is not None or bad_forced:
+        error, (column, row) = (
+            (NonNumericResponse, ("y", bad_y)) if bad_y is not None else (NonNumericValue, bad_forced[0])
+        )
+        with pytest.raises(error) as info:
+            load_dataset(path, "y", schema_overrides=overrides)
+        assert (info.value.column, info.value.row) == (column, row)
+        return
+
+    ds = load_dataset(path, "y", schema_overrides=overrides)
+    np.testing.assert_array_equal(ds.responses, [float(c) for c in y])
+    for j, cells in enumerate(features):
+        kind, column, categories = infer_column(cells)
+        assert ds.kinds[j].value == kind
+        assert ds.categories[j] == categories
+        np.testing.assert_array_equal(ds.features[:, j], column)
 
 
 def test_feature_ranges():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohortexplain import (
     DimensionTooLarge,
@@ -10,7 +12,13 @@ from cohortexplain import (
 )
 from cohortexplain.sampling import fisher_yates, rng_from
 
-from oracles import make_table_vf, shapley_by_definition, shapley_by_permutations, table_evaluate
+from oracles import (
+    fisher_yates_scalar,
+    make_table_vf,
+    shapley_by_definition,
+    shapley_by_permutations,
+    table_evaluate,
+)
 
 
 def d2_example_vf():
@@ -175,3 +183,14 @@ def test_fisher_yates_uniform_and_reproducible():
     b = fisher_yates(rng_from(11), 8)
     np.testing.assert_array_equal(a, b)
     assert sorted(a.tolist()) == list(range(8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(0, 300), draws=st.integers(1, 3))
+def test_fisher_yates_matches_scalar_oracle(seed, d, draws):
+    fast, slow = rng_from(seed), rng_from(seed)
+    for _ in range(draws):
+        a, b = fisher_yates(fast, d), fisher_yates_scalar(slow, d)
+        np.testing.assert_array_equal(a, b)
+        assert a.dtype == b.dtype
+    assert fast.bit_generator.state == slow.bit_generator.state
