@@ -22,11 +22,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .data import (
-    AbsoluteRange,
     AbsResidual,
     ColumnKind,
     Dataset,
-    Equality,
     Raw,
     RelativeRange,
     Residual,
@@ -229,16 +227,6 @@ def _similarity_from_args(args, ds):
     return make_similarity_spec(ds, default=default, overrides=overrides), default, overrides
 
 
-def _rule_str(rule) -> str:
-    if isinstance(rule, Equality):
-        return "equality"
-    if isinstance(rule, RelativeRange):
-        return f"relative:{rule.delta!r}"
-    if isinstance(rule, AbsoluteRange):
-        return f"absolute:{rule.width!r}"
-    raise ConfigError(f"unknown rule {rule!r}")
-
-
 def _thread_count(args) -> int:
     if getattr(args, "threads", None) is not None:
         count = args.threads
@@ -269,8 +257,8 @@ def _base_config(args, command: str, ds, default, overrides) -> dict:
         "response": args.response,
         "response_mode": args.response_mode,
         "schema_overrides": {k: v.value for k, v in _schema_overrides(args).items()},
-        "similarity_default": _rule_str(default),
-        "similarity_overrides": {k: _rule_str(v) for k, v in sorted(overrides.items())},
+        "similarity_default": default.token(),
+        "similarity_overrides": {k: v.token() for k, v in sorted(overrides.items())},
         "n": ds.n,
         "d": ds.d,
     }
@@ -373,7 +361,10 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _record_values(record: dict, ds, where: str) -> tuple[int, np.ndarray]:
+def _record_values(record: dict, ds, where: str) -> tuple[str, int, np.ndarray]:
+    method = record.get("method", "?")
+    if not isinstance(method, str):
+        raise DataError(f"{where}: method must be a string, got {method!r}")
     values = record.get("values", {})
     if not isinstance(values, dict):
         raise DataError(f"{where}: values must be a JSON object, got {type(values).__name__}")
@@ -382,8 +373,8 @@ def _record_values(record: dict, ds, where: str) -> tuple[int, np.ndarray]:
             f"{where}: attribution columns do not match the dataset ({len(values)} vs d={ds.d})"
         )
     for name, v in values.items():
-        if not (_is_int(v) or isinstance(v, float)):
-            raise DataError(f"{where}: value of {name!r} must be a number, got {v!r}")
+        if not (_is_int(v) or isinstance(v, float)) or not abs(v) <= sys.float_info.max:
+            raise DataError(f"{where}: value of {name!r} must be a finite number, got {v!r}")
     if "target_index" not in record:
         raise DataError(f"{where}: record has no target_index")
     target = record["target_index"]
@@ -391,7 +382,7 @@ def _record_values(record: dict, ds, where: str) -> tuple[int, np.ndarray]:
         raise DataError(f"{where}: target_index must be an integer, got {target!r}")
     if not 0 <= target < ds.n:
         raise DimensionMismatch(f"{where}: target {target} outside the dataset's [0, {ds.n})")
-    return target, np.array([values[name] for name in ds.column_names], dtype=float)
+    return method, target, np.array([values[name] for name in ds.column_names], dtype=float)
 
 
 def _cmd_evaluate(args) -> int:
@@ -406,9 +397,8 @@ def _cmd_evaluate(args) -> int:
     for path in args.attributions:
         _, records = _read_attribution_file(path)
         for where, record in records:
-            target, values = _record_values(record, ds, where)
+            method, target, values = _record_values(record, ds, where)
             report = abc_report(_context(ds, spec, target).value, values)
-            method = record.get("method", "?")
             rows.append([str(path), method, "target", target, repr(report.abc_insertion), repr(report.abc_deletion)])
             groups.setdefault((str(path), method), []).append((report.abc_insertion, report.abc_deletion))
             if args.plot_data:

@@ -36,7 +36,13 @@ class ColumnKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Equality:
-    """Similar iff the stored values are identical (exact float equality)."""
+    """Similar iff the stored values are identical: width 0."""
+
+    def column_width(self, column_range: float) -> float:
+        return 0.0
+
+    def token(self) -> str:
+        return "equality"
 
 
 @dataclass(frozen=True)
@@ -49,6 +55,12 @@ class RelativeRange:
         if not 0.0 < self.delta <= 1.0:
             raise ConfigError(f"relative similarity delta must be in (0, 1], got {self.delta}")
 
+    def column_width(self, column_range: float) -> float:
+        return self.delta * column_range
+
+    def token(self) -> str:
+        return f"relative:{self.delta!r}"
+
 
 @dataclass(frozen=True)
 class AbsoluteRange:
@@ -59,6 +71,12 @@ class AbsoluteRange:
     def __post_init__(self):
         if not self.width >= 0.0:
             raise ConfigError(f"absolute similarity width must be >= 0, got {self.width}")
+
+    def column_width(self, column_range: float) -> float:
+        return self.width
+
+    def token(self) -> str:
+        return f"absolute:{self.width!r}"
 
 
 SimilarityRule = Union[Equality, RelativeRange, AbsoluteRange]
@@ -232,6 +250,9 @@ def load_dataset(
     pred_column = getattr(response_mode, "prediction_column", None)
     if pred_column is not None and pred_column not in header:
         raise MissingColumn(pred_column)
+    for name in (response_column, pred_column):
+        if overrides.get(name) is ColumnKind.CATEGORICAL:
+            raise ConfigError(f"response or prediction column {name!r} cannot be categorical")
 
     columns = {name: [row[i] for row in data] for i, name in enumerate(header)}
     y = _numeric_column(response_column, columns[response_column], NonNumericResponse)
@@ -326,6 +347,17 @@ def dataset_summary(ds: Dataset) -> str:
 # ---------------------------------------------------------------------------
 # Similarity specification helpers
 
+def similarity_widths(ds: Dataset, spec: SimilaritySpec) -> np.ndarray:
+    """Per-column widths w_j from each rule and the column's observed range:
+    row i is similar to target t on column j iff |x_ij - x_tj| <= w_j."""
+    if len(spec.rules) != ds.d:
+        raise ConfigError(f"spec has {len(spec.rules)} rules for {ds.d} columns")
+    for name, rule, kind in zip(ds.column_names, spec.rules, ds.kinds):
+        if kind is ColumnKind.CATEGORICAL and not isinstance(rule, Equality):
+            raise ConfigError(f"categorical column {name!r} must use the equality rule")
+    return np.array([rule.column_width(r) for rule, r in zip(spec.rules, feature_ranges(ds))])
+
+
 def make_similarity_spec(
     ds: Dataset,
     default: SimilarityRule = RelativeRange(0.1),
@@ -337,18 +369,12 @@ def make_similarity_spec(
     unknown = set(overrides) - set(ds.column_names)
     if unknown:
         raise ConfigError(f"similarity override for unknown column(s): {sorted(unknown)}")
-    rules = []
-    for name, kind in zip(ds.column_names, ds.kinds):
-        if name in overrides:
-            rule = overrides[name]
-        elif kind is ColumnKind.CATEGORICAL:
-            rule = Equality()
-        else:
-            rule = default
-        if kind is ColumnKind.CATEGORICAL and not isinstance(rule, Equality):
-            raise ConfigError(f"categorical column {name!r} must use the equality rule")
-        rules.append(rule)
-    return SimilaritySpec(tuple(rules))
+    spec = SimilaritySpec(tuple(
+        overrides.get(name, Equality() if kind is ColumnKind.CATEGORICAL else default)
+        for name, kind in zip(ds.column_names, ds.kinds)
+    ))
+    similarity_widths(ds, spec)
+    return spec
 
 
 def parse_rule(token: str) -> SimilarityRule:

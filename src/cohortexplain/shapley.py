@@ -133,15 +133,13 @@ def exact_shapley(nu: ValueFunction, cap: int = DEFAULT_DIMENSION_CAP) -> Attrib
     if d > cap:
         raise DimensionTooLarge(d, cap)
     vals = np.asarray(nu.all_values(), dtype=float)
-    pop = _popcounts(1 << d)
-    weights = np.array([1.0 / (d * math.comb(d - 1, s)) for s in range(d)])
+    # W[u] = 1 / (d * C(d-1, |u|)); the full set (|u| = d) never lacks a feature, so its 0 is unused
+    weights = np.array([1.0 / (d * math.comb(d - 1, s)) for s in range(d)] + [0.0])
+    W = weights[_popcounts(1 << d)]
     phi = np.empty(d)
     for j in range(d):
         pairs = vals.reshape(-1, 2, 1 << j)
-        without = pairs[:, 0, :].ravel()
-        with_j = pairs[:, 1, :].ravel()
-        sizes = pop.reshape(-1, 2, 1 << j)[:, 0, :].ravel()
-        phi[j] = np.sum(weights[sizes] * (with_j - without))
+        phi[j] = np.sum(W.reshape(-1, 2, 1 << j)[:, 0, :] * (pairs[:, 1, :] - pairs[:, 0, :]))
     return _finish(
         "exact", phi, vals[0], vals[-1], nu.target_index, evaluations=1 << d
     )

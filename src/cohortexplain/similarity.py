@@ -1,11 +1,11 @@
 """Per-target similarity indicators, cohorts, cohort refinement along an
 ordering, and soft similarity.
 
-For a fixed target t the binary indicator S[i, j] says whether observation i
-is similar to the target on feature j under the per-column rule.  The
-dissimilarity set of each row is J_i = {j : S[i, j] = 0}; the boolean matrix
-and the counts |J_i| are the only representation of it, and every cohort,
-refinement path and soft weight is computed from them.
+For a fixed target t, S[i, j] = |x_ij - x_tj| <= w_j says whether observation
+i is similar to the target on feature j, w_j being the width of the column's
+rule.  The dissimilarity set of each row is J_i = {j : S[i, j] = 0}; the
+boolean matrix and the counts |J_i| are the only representation of it, and
+every cohort, refinement path and soft weight is computed from them.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .data import ColumnKind, Dataset, Equality, RelativeRange, SimilaritySpec, feature_ranges
-from .errors import ConfigError, TargetOutOfRange, ZOutOfRange
+from .data import Dataset, SimilaritySpec, similarity_widths
+from .errors import TargetOutOfRange, ZOutOfRange
 
 
 @dataclass(frozen=True)
@@ -58,25 +58,13 @@ class SimilarityProfile:
 
 
 def build_profile(ds: Dataset, spec: SimilaritySpec, target_index: int) -> SimilarityProfile:
-    """Compute the indicator matrix for one target under the similarity spec."""
+    """Indicators S[i, j] = |x_ij - x_tj| <= w_j for one target t, w from ``similarity_widths``."""
     if not 0 <= target_index < ds.n:
         raise TargetOutOfRange(target_index, ds.n)
-    if len(spec.rules) != ds.d:
-        raise ConfigError(f"spec has {len(spec.rules)} rules for {ds.d} columns")
-    X = ds.features
-    xt = X[target_index]
-    ranges = feature_ranges(ds)
-    S = np.empty((ds.n, ds.d), dtype=bool)
-    for j, rule in enumerate(spec.rules):
-        if isinstance(rule, Equality):
-            S[:, j] = X[:, j] == xt[j]
-        elif isinstance(rule, RelativeRange):
-            if ds.kinds[j] is ColumnKind.CATEGORICAL:
-                raise ConfigError(f"categorical column {ds.column_names[j]!r} must use the equality rule")
-            S[:, j] = np.abs(X[:, j] - xt[j]) <= rule.delta * ranges[j]
-        else:
-            S[:, j] = np.abs(X[:, j] - xt[j]) <= rule.width
-    return SimilarityProfile.from_indicators(S, target_index)
+    widths = similarity_widths(ds, spec)
+    diff = ds.features - ds.features[target_index]
+    np.abs(diff, out=diff)
+    return SimilarityProfile.from_indicators(diff <= widths, target_index)
 
 
 def cohort(profile: SimilarityProfile, u) -> np.ndarray:

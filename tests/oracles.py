@@ -136,3 +136,41 @@ def infer_column(cells):
 def first_non_real(cells):
     """Row index of the first cell that is not a finite real, or None."""
     return next((r for r, cell in enumerate(cells) if finite_real(cell) is None), None)
+
+
+def indicators_by_rule(ds, spec, target):
+    """The similarity indicators column by column, one branch per rule type:
+    exact equality, |x - x_t| <= delta * (max - min), |x - x_t| <= width."""
+    from cohortexplain import Equality, RelativeRange
+
+    X = ds.features
+    xt = X[target]
+    S = np.empty((ds.n, ds.d), dtype=bool)
+    for j, rule in enumerate(spec.rules):
+        if isinstance(rule, Equality):
+            S[:, j] = X[:, j] == xt[j]
+        elif isinstance(rule, RelativeRange):
+            S[:, j] = np.abs(X[:, j] - xt[j]) <= rule.delta * (X[:, j].max() - X[:, j].min())
+        else:
+            S[:, j] = np.abs(X[:, j] - xt[j]) <= rule.width
+    return S
+
+
+def exact_shapley_by_columns(vals, d):
+    """Subset-weighted exact Shapley values from a table indexed by bitmask,
+    with per-feature copies of the without-j and with-j halves and a gather
+    of the weights by subset size; the reference summation order."""
+    pop = np.zeros(1 << d, dtype=np.int64)
+    stride = 1
+    while stride < 1 << d:
+        pop[stride : 2 * stride] = pop[:stride] + 1
+        stride *= 2
+    weights = np.array([1.0 / (d * math.comb(d - 1, s)) for s in range(d)])
+    phi = np.empty(d)
+    for j in range(d):
+        pairs = vals.reshape(-1, 2, 1 << j)
+        without = pairs[:, 0, :].ravel()
+        with_j = pairs[:, 1, :].ravel()
+        sizes = pop.reshape(-1, 2, 1 << j)[:, 0, :].ravel()
+        phi[j] = np.sum(weights[sizes] * (with_j - without))
+    return phi

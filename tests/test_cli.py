@@ -187,6 +187,10 @@ def _without(record, key):
     pytest.param(2, lambda h, r: (h, {**r, "target_index": 0.5}), id="float-target-index"),
     pytest.param(2, lambda h, r: (h, {**r, "values": [1.0, 2.0]}), id="values-not-object"),
     pytest.param(2, lambda h, r: (h, {**r, "values": {"x1": "high", "x2": 1.0}}), id="non-numeric-value"),
+    pytest.param(2, lambda h, r: (h, {**r, "method": ["x"]}), id="method-not-string"),
+    pytest.param(2, lambda h, r: (h, {**r, "values": {"x1": float("nan"), "x2": 1.0}}), id="nan-value"),
+    pytest.param(2, lambda h, r: (h, {**r, "values": {"x1": 1.0, "x2": float("-inf")}}), id="infinite-value"),
+    pytest.param(2, lambda h, r: (h, {**r, "values": {"x1": 10**400, "x2": 1.0}}), id="int-beyond-double"),
 ])
 def test_evaluate_malformed_attribution_file(tmp_path, capsys, line, corrupt):
     data = write_d3(tmp_path)
@@ -203,6 +207,19 @@ def test_evaluate_malformed_attribution_file(tmp_path, capsys, line, corrupt):
     err = json.loads(err_line)
     assert err["error"] == "DataError"
     assert err["message"].startswith(f"{attr}:{line}: ")
+
+
+@pytest.mark.parametrize("mode, schema, code", [
+    ("raw", "y=categorical", 2),
+    ("residual:p", "p=categorical", 2),
+    ("residual:p", "y=numeric", 0),
+    ("residual:p", "p=numeric", 0),
+])
+def test_schema_response_column_must_be_numeric(tmp_path, mode, schema, code):
+    data = tmp_path / "p.csv"
+    data.write_text("x1,p,y\n0,1,1\n1,2,2\n1,2,3\n", encoding="utf-8")
+    assert run("similarity", "--data", str(data), "--response", "y", "--response-mode", mode,
+               "--schema", schema, "--target", "0", "--out", str(tmp_path / "s.csv")) == code
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

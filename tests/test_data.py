@@ -256,6 +256,16 @@ def test_make_similarity_spec():
         make_similarity_spec(ds, overrides={"nope": Equality()})
 
 
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.one_of(
+    st.just(Equality()),
+    st.floats(0.0, 1.0, exclude_min=True).map(RelativeRange),
+    st.floats(0.0).map(AbsoluteRange),
+))
+def test_rule_token_round_trips(rule):
+    assert parse_rule(rule.token()) == rule
+
+
 def test_parse_rule_and_config():
     assert parse_rule("equality") == Equality()
     assert parse_rule("relative:0.2") == RelativeRange(0.2)

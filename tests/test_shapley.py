@@ -13,6 +13,7 @@ from cohortexplain import (
 from cohortexplain.sampling import fisher_yates, rng_from
 
 from oracles import (
+    exact_shapley_by_columns,
     fisher_yates_scalar,
     make_table_vf,
     shapley_by_definition,
@@ -54,6 +55,20 @@ def test_exact_matches_permutation_oracle():
         attr = exact_shapley(make_table_vf(vals, d))
         expected = shapley_by_permutations(table_evaluate(vals), d)
         np.testing.assert_allclose(attr.values, expected, atol=1e-12)
+
+
+@st.composite
+def lattices(draw):
+    d = draw(st.integers(1, 12))
+    scale = draw(st.sampled_from([1e-300, 1e-3, 1.0, 1e6, 1e300]))
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=1 << d) * scale, d
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(lattices())
+def test_exact_matches_column_copy_oracle_bytes(lattice):
+    vals, d = lattice
+    assert exact_shapley(make_table_vf(vals, d)).values.tobytes() == exact_shapley_by_columns(vals, d).tobytes()
 
 
 def test_dimension_cap():

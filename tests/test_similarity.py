@@ -1,3 +1,5 @@
+import math
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 from cohortexplain import (
     AbsoluteRange,
     CohortValue,
+    ColumnKind,
+    ConfigError,
     Equality,
     RelativeRange,
     SimilarityProfile,
@@ -18,11 +22,12 @@ from cohortexplain import (
     build_profile,
     cohort,
     conditional_curves,
+    make_similarity_spec,
     soft_similarity,
 )
 
 from conftest import make_dataset, random_binary_profile
-from oracles import cohort_mean_brute
+from oracles import cohort_mean_brute, indicators_by_rule
 
 
 def test_d3_profile(d3_dataset, d3_spec):
@@ -60,6 +65,62 @@ def test_absolute_range_rule():
     ds = make_dataset([[0.0], [0.4], [0.6]], [0, 0, 0])
     profile = build_profile(ds, SimilaritySpec((AbsoluteRange(0.5),)), 0)
     np.testing.assert_array_equal(profile.indicators[:, 0], [True, True, False])
+
+
+# signed zeros, the smallest subnormal gaps, and magnitudes whose differences overflow
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-323, 1.0, math.nextafter(1.0, 2.0),
+               1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308]
+RULES = st.one_of(
+    st.just(Equality()),
+    st.floats(0.0, 1.0, exclude_min=True).map(RelativeRange),
+    st.one_of(st.sampled_from([0.0, 5e-324, 1.0, math.inf]), st.floats(0.0, 1e308)).map(AbsoluteRange),
+)
+
+
+@st.composite
+def mixed_tables(draw):
+    """A mixed numeric/categorical dataset, with constant columns and
+    repeated rows, and a valid rule per column."""
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 6))
+    cells = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(-4.0, 4.0),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    columns, kinds, rules = [], [], []
+    for _ in range(d):
+        style = draw(st.sampled_from(["numeric", "constant", "categorical"]))
+        if style == "categorical":
+            columns.append(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+            kinds.append(ColumnKind.CATEGORICAL)
+            rules.append(Equality())
+        else:
+            column = draw(st.lists(cells, min_size=n, max_size=n))
+            columns.append(column if style == "numeric" else [column[0]] * n)
+            kinds.append(ColumnKind.NUMERIC)
+            rules.append(draw(RULES))
+    X = np.array(columns, dtype=float).T
+    for dst, src in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n)):
+        X[dst] = X[src]
+    return make_dataset(X, np.zeros(n), kinds=kinds), SimilaritySpec(tuple(rules))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(mixed_tables())
+def test_build_profile_matches_rule_oracle(table):
+    ds, spec = table
+    for t in range(ds.n):
+        with np.errstate(over="ignore"):  # overflowing differences are inf
+            expected = indicators_by_rule(ds, spec, t)
+            profile = build_profile(ds, spec, t)
+        np.testing.assert_array_equal(profile.indicators, expected)
+
+
+@pytest.mark.parametrize("rule", [RelativeRange(1.0), AbsoluteRange(0.0)], ids=["relative", "absolute"])
+def test_categorical_column_needs_equality(rule):
+    ds = make_dataset([[0.0, 1.0], [1.0, 0.0]], [0, 0], kinds=(ColumnKind.NUMERIC, ColumnKind.CATEGORICAL))
+    with pytest.raises(ConfigError, match="'x2' must use the equality rule"):
+        make_similarity_spec(ds, overrides={"x2": rule})
+    with pytest.raises(ConfigError, match="'x2' must use the equality rule"):
+        build_profile(ds, SimilaritySpec((Equality(), rule)), 0)
 
 
 def test_target_out_of_range(d3_dataset, d3_spec):

@@ -1,16 +1,21 @@
 import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohortexplain import (
     CategoricalFeatureUnsupported,
     CohortValue,
     ColumnKind,
     GkwValue,
+    SimilarityProfile,
     UniquenessValue,
     cohort,
     exact_shapley,
+    exhaustive_permutation_shapley,
 )
 
 from conftest import make_dataset, random_cohort_instance
@@ -154,3 +159,26 @@ def test_exact_cs_matches_permutation_oracle_on_random_data():
         profile, responses, cv = random_cohort_instance(rng, n=int(rng.integers(3, 25)), d=4)
         expected = shapley_by_permutations(cv.evaluate, 4)
         np.testing.assert_allclose(exact_shapley(cv).values, expected, atol=1e-12)
+
+
+@st.composite
+def cohort_profiles(draw):
+    n = draw(st.integers(1, 30))
+    d = draw(st.integers(1, 6))
+    S = draw(hnp.arrays(bool, (n, d)))
+    target = draw(st.integers(0, n - 1))
+    S[target] = True
+    responses = draw(hnp.arrays(float, n, elements=st.floats(-1.0, 1.0)))
+    return SimilarityProfile.from_indicators(S, target), responses
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(cohort_profiles())
+def test_lattice_matches_refinement_path(case):
+    """exact_shapley reads the 2^d lattice (all_values); the exhaustive
+    permutation engine reads the refinement kernel (permutation_increments)."""
+    profile, responses = case
+    for vf in (CohortValue(profile, responses), UniquenessValue(profile)):
+        np.testing.assert_allclose(
+            exact_shapley(vf).values, exhaustive_permutation_shapley(vf).values, rtol=0, atol=1e-12
+        )
