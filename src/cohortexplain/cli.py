@@ -17,6 +17,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,6 +29,7 @@ from .data import (
     Raw,
     RelativeRange,
     Residual,
+    SimilaritySpec,
     SquaredResidual,
     dataset_summary,
     load_dataset,
@@ -63,18 +65,21 @@ DEFAULTS = {"steps": 50, "samples": 1000, "sigma": 0.1, "seed": 0, "cap": DEFAUL
 
 @dataclass(frozen=True)
 class TargetContext:
-    """One target's profile and cohort value, built once and read by both the
-    attribution engine and the ABC report."""
+    """One target's profile and cohort value, built on first use and then
+    read by both the attribution engine and the ABC report (``gkw`` reads
+    neither)."""
 
     ds: Dataset
+    spec: SimilaritySpec
     target: int
-    profile: SimilarityProfile
-    value: CohortValue
 
+    @cached_property
+    def profile(self) -> SimilarityProfile:
+        return build_profile(self.ds, self.spec, self.target)
 
-def _context(ds, spec, target: int) -> TargetContext:
-    profile = build_profile(ds, spec, target)
-    return TargetContext(ds, target, profile, CohortValue(profile, ds.responses))
+    @cached_property
+    def value(self) -> CohortValue:
+        return CohortValue(self.profile, self.ds.responses)
 
 
 @dataclass(frozen=True)
@@ -137,7 +142,7 @@ def _method_params(args, names: list[str]) -> dict:
 def _attribute_one(ds, spec, name: str, params: dict, target: int):
     """(context, attribution, seconds) for one target."""
     start = time.perf_counter()
-    ctx = _context(ds, spec, target)
+    ctx = TargetContext(ds, spec, target)
     attr = METHODS[name].run(ctx, params)
     return ctx, attr, time.perf_counter() - start
 
@@ -391,19 +396,28 @@ def _cmd_evaluate(args) -> int:
     config = _base_config(args, "evaluate", ds, default, overrides)
     config["attributions"] = [str(p) for p in args.attributions]
 
+    records = []  # (source, method, target, values) in file order
+    for path in args.attributions:
+        _, lines = _read_attribution_file(path)
+        records.extend((str(path), *_record_values(record, ds, where)) for where, record in lines)
+    by_target: dict[int, list[int]] = {}
+    for i, (_, _, target, _) in enumerate(records):
+        by_target.setdefault(target, []).append(i)
+    reports = [None] * len(records)
+    for target, indices in by_target.items():  # one cohort value per target, across files
+        value = TargetContext(ds, spec, target).value
+        for i in indices:
+            reports[i] = abc_report(value, records[i][3])
+
     rows = []
     curve_rows = []
     groups: dict[tuple[str, str], list[tuple[float, float]]] = {}
-    for path in args.attributions:
-        _, records = _read_attribution_file(path)
-        for where, record in records:
-            method, target, values = _record_values(record, ds, where)
-            report = abc_report(_context(ds, spec, target).value, values)
-            rows.append([str(path), method, "target", target, repr(report.abc_insertion), repr(report.abc_deletion)])
-            groups.setdefault((str(path), method), []).append((report.abc_insertion, report.abc_deletion))
-            if args.plot_data:
-                for curve, points in (("insertion", report.insertion_curve), ("deletion", report.deletion_curve)):
-                    curve_rows.extend([str(path), method, target, curve, k, repr(float(v))] for k, v in enumerate(points))
+    for (source, method, target, _), report in zip(records, reports):
+        rows.append([source, method, "target", target, repr(report.abc_insertion), repr(report.abc_deletion)])
+        groups.setdefault((source, method), []).append((report.abc_insertion, report.abc_deletion))
+        if args.plot_data:
+            for curve, points in (("insertion", report.insertion_curve), ("deletion", report.deletion_curve)):
+                curve_rows.extend([source, method, target, curve, k, repr(float(v))] for k, v in enumerate(points))
     for (source, method), scores in groups.items():
         mean, se = _mean_se(scores)
         rows.append([source, method, "mean", "", repr(mean[0]), repr(mean[1])])

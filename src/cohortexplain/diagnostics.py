@@ -190,6 +190,28 @@ class ComparisonRecord:
     igcs_seconds: float
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x; tied entries share the mean of their ranks."""
+    order = np.argsort(x, kind="stable")
+    sorted_x = x[order]
+    starts = np.flatnonzero(np.r_[True, sorted_x[1:] != sorted_x[:-1]])
+    sizes = np.diff(np.r_[starts, len(x)])
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat(starts + (sizes + 1) / 2.0, sizes)
+    return ranks
+
+
+def spearman(a, b) -> float:
+    """Spearman rank correlation: Pearson correlation of average ranks; nan
+    when either input is constant (or has fewer than two entries)."""
+    ra = _average_ranks(np.asarray(a, dtype=float))
+    rb = _average_ranks(np.asarray(b, dtype=float))
+    ra -= ra.mean()
+    rb -= rb.mean()
+    denom = math.sqrt(float(ra @ ra) * float(rb @ rb))
+    return float(ra @ rb) / denom if denom > 0 else math.nan
+
+
 def cs_vs_igcs(
     ds: Dataset,
     spec: SimilaritySpec,
@@ -220,18 +242,16 @@ def cs_vs_igcs(
     igcs_attr = igcs_attribution(SoftValue(profile, ds.responses), quad)
     igcs_seconds = time.perf_counter() - start
 
-    from scipy.stats import spearmanr  # lazy: its import dominates the CLI's start-up time and memory
-
     cs_abc = abc_report(cv, cs_attr)
     ig_abc = abc_report(cv, igcs_attr)
-    rho = spearmanr(cs_attr.values, igcs_attr.values).statistic
+    rho = spearman(cs_attr.values, igcs_attr.values)
     return ComparisonRecord(
         target_index=target_index,
         cs_method=cs_method,
         cs_values=cs_attr.values,
         igcs_values=igcs_attr.values,
         difference=igcs_attr.values - cs_attr.values,
-        rank_correlation=float(rho),
+        rank_correlation=rho,
         cs_abc_insertion=cs_abc.abc_insertion,
         cs_abc_deletion=cs_abc.abc_deletion,
         igcs_abc_insertion=ig_abc.abc_insertion,

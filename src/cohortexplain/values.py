@@ -7,7 +7,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .data import ColumnKind, Dataset
 from .errors import (
@@ -126,6 +125,11 @@ class GkwValue(ValueFunction):
     and the covariance gets a ridge of ``ridge * trace(Sigma)/d`` before any
     submatrix is factorized, so collinear data stays invertible.  nu(empty)
     is the grand mean (all weights 1), matching the cohort-mean baseline.
+
+    Every subset is reached by adding features in increasing order, one
+    Cholesky row at a time (``_extend``): with Sigma_uu = L L^T, the path
+    keeps the rows of [M | W] = L^-1 [Sigma[u, :] | (x_u - x_tu)^T], and
+    the quadratic form grows by the square of each new row of W.
     """
 
     def __init__(self, ds: Dataset, target_index: int, sigma: float = 0.1, ridge: float = 1e-6):
@@ -151,23 +155,43 @@ class GkwValue(ValueFunction):
         if ridge > 0:
             cov = cov + (ridge * np.trace(cov) / ds.d) * np.eye(ds.d)
         self._cov = cov
+        # row j: Sigma[j, :] then x_ij - x_tj over all rows i
+        self._rows = np.hstack([cov, (self._X - self._X[target_index]).T])
         self.responses = ds.responses
         self.target_index = target_index
         self.sigma = sigma
 
-    def weights(self, u: Sequence[int]) -> np.ndarray:
-        """Kernel weight of every observation for the subset u (target gets 1)."""
+    def _path(self):
+        """Empty factor rows [M | W] and quadratic forms q (q[k] over the path's first k features)."""
+        return np.empty_like(self._rows), np.zeros((self.d + 1, len(self.responses)))
+
+    def _extend(self, path, u: tuple[int, ...]) -> None:
+        """One Cholesky step: the path holds the rows of u[:-1]; write row k for u[-1]."""
+        rows, q = path
+        k, j = len(u) - 1, u[-1]
+        l = rows[:k, j]
+        pivot = self._cov[j, j] - l @ l
+        if not pivot > 0:
+            raise SingularCovariance(f"covariance submatrix for {u} is not positive definite")
+        rows[k] = (self._rows[j] - l @ rows[:k]) / math.sqrt(pivot)
+        w_new = rows[k, self.d :]
+        np.add(q[k], w_new * w_new, out=q[k + 1])
+
+    def weights(self, u: Sequence[int], path=None) -> np.ndarray:
+        """Kernel weight of every observation for the subset u (target gets 1).
+
+        ``path`` (from ``_path``) may already hold u without its largest
+        feature, as in the lattice walk; then u costs one step.
+        """
         u = tuple(sorted(set(int(j) for j in u)))
         if not u:
             return np.ones(len(self.responses))
-        try:
-            factor = cho_factor(self._cov[np.ix_(u, u)])
-        except LinAlgError as exc:
-            raise SingularCovariance(f"covariance submatrix for {u} is not positive definite") from exc
-        cols = list(u)
-        delta = self._X[:, cols] - self._X[self.target_index, cols]
-        solved = cho_solve(factor, delta.T)
-        d_sq = np.maximum(np.einsum("ij,ji->i", delta, solved), 0.0) / len(u)
+        if path is None:
+            path = self._path()
+            for k in range(1, len(u)):
+                self._extend(path, u[:k])
+        self._extend(path, u)
+        d_sq = path[1][len(u)] / len(u)
         return np.exp(-d_sq / (2.0 * self.sigma**2))
 
     def evaluate(self, u: Sequence[int]) -> float:
@@ -176,3 +200,23 @@ class GkwValue(ValueFunction):
             return float(self.responses.mean())
         w = self.weights(u)
         return float((w @ self.responses) / w.sum())
+
+    def all_values(self) -> np.ndarray:
+        """The 2^d lattice depth-first: each child of u adds a feature above
+        max(u), so every subset costs one step and none is factorized anew."""
+        d = self.d
+        if d > 30:
+            raise DimensionTooLarge(d, 30)
+        out = np.empty(1 << d)
+        out[0] = self.responses.mean()
+        path = self._path()
+
+        def visit(u: tuple[int, ...], mask: int) -> None:
+            for j in range(u[-1] + 1 if u else 0, d):
+                child = u + (j,)
+                w = self.weights(child, path)
+                out[mask | 1 << j] = (w @ self.responses) / w.sum()
+                visit(child, mask | 1 << j)
+
+        visit((), 0)
+        return out

@@ -174,3 +174,33 @@ def exact_shapley_by_columns(vals, d):
         sizes = pop.reshape(-1, 2, 1 << j)[:, 0, :].ravel()
         phi[j] = np.sum(weights[sizes] * (with_j - without))
     return phi
+
+
+def gkw_weights_cholesky(gv, u):
+    """GKW kernel weights for the subset u from a fresh Cholesky factor and
+    solve of Sigma_uu (scipy), over the value function's standardized
+    features ``gv._X`` and ridged covariance ``gv._cov``."""
+    from scipy.linalg import LinAlgError, cho_factor, cho_solve
+
+    from cohortexplain import SingularCovariance
+
+    u = tuple(sorted(set(int(j) for j in u)))
+    if not u:
+        return np.ones(len(gv.responses))
+    try:
+        factor = cho_factor(gv._cov[np.ix_(u, u)])
+    except LinAlgError as exc:
+        raise SingularCovariance(f"covariance submatrix for {u} is not positive definite") from exc
+    cols = list(u)
+    delta = gv._X[:, cols] - gv._X[gv.target_index, cols]
+    solved = cho_solve(factor, delta.T)
+    d_sq = np.maximum(np.einsum("ij,ji->i", delta, solved), 0.0) / len(u)
+    return np.exp(-d_sq / (2.0 * gv.sigma**2))
+
+
+def gkw_evaluate_cholesky(gv, u):
+    """nu(u) of a GKW value function from ``gkw_weights_cholesky``."""
+    if not tuple(u):
+        return float(gv.responses.mean())
+    w = gkw_weights_cholesky(gv, u)
+    return float((w @ gv.responses) / w.sum())

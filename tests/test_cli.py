@@ -222,13 +222,58 @@ def test_schema_response_column_must_be_numeric(tmp_path, mode, schema, code):
                "--schema", schema, "--target", "0", "--out", str(tmp_path / "s.csv")) == code
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
+def _run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this checkout's package."""
     import cohortexplain
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(cohortexplain.__file__)))
-    probe = "import sys, cohortexplain.cli; sys.exit('scipy.stats' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
-    assert subprocess.run([sys.executable, "-c", probe], env=env, timeout=120).returncode == 0
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, timeout=120,
+                          capture_output=True, text=True)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    probe = ("import sys, cohortexplain.cli; "
+             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    result = _run_python(probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+BLOCK_SCIPY = """
+import json, sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, BlockScipy())
+from cohortexplain.cli import main
+
+data, tmp = sys.argv[1:3]
+common = ["--data", data, "--response", "y", "--threads", "1"]
+codes = {}
+for method in ("cs-exact", "igcs", "uniqueness", "gkw"):
+    codes[method] = main(["attribute", *common, "--method", method, "--targets", "all",
+                          "--out", f"{tmp}/{method}.jsonl"])
+codes["evaluate"] = main(["evaluate", *common, "--out", f"{tmp}/abc.csv", "--attributions",
+                          *(f"{tmp}/{m}.jsonl" for m in ("cs-exact", "igcs", "uniqueness", "gkw"))])
+codes["diagnose"] = main(["diagnose", *common, "--samples", "50", "--out", f"{tmp}/diag.csv"])
+print(json.dumps(codes))
+"""
+
+
+def test_commands_run_with_scipy_blocked(tmp_path):
+    rng = np.random.default_rng(12)
+    data = tmp_path / "tiny.csv"
+    X = rng.normal(size=(12, 3))
+    lines = ["x1,x2,x3,y"] + [",".join(repr(float(v)) for v in (*row, row[0] + rng.normal())) for row in X]
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = _run_python(BLOCK_SCIPY, str(data), str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    codes = json.loads(result.stdout)
+    assert codes == dict.fromkeys(["cs-exact", "igcs", "uniqueness", "gkw", "evaluate", "diagnose"], 0)
 
 
 def test_evaluate_plot_data(tmp_path):
@@ -450,3 +495,32 @@ def test_non_utf8_input_exit_code(tmp_path, capsys, which, code):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == ("ConfigError" if code == 2 else "DataError")
     assert err["message"].startswith(f"{bad}: ")
+
+
+def test_gkw_attribute_builds_no_profile(tmp_path, monkeypatch):
+    data = write_d3(tmp_path)
+    calls = _counting(monkeypatch, "build_profile")
+    assert run("attribute", *d3_args(data), "--method", "gkw", "--targets", "all",
+               "--out", str(tmp_path / "a.jsonl")) == 0
+    assert calls == []
+    assert run("compare", *d3_args(data), "--methods", "gkw", "--targets", "0-1",
+               "--out", str(tmp_path / "cmp.csv")) == 0
+    assert len(calls) == 2  # the ABC report still reads each target's cohort
+
+
+def test_evaluate_builds_each_target_once(tmp_path, monkeypatch):
+    data = write_d3(tmp_path)
+    files = []
+    for name, method, targets in (("a", "cs-exact", "0-1"), ("b", "igcs", "1-2")):
+        files.append(tmp_path / f"{name}.jsonl")
+        assert run("attribute", *d3_args(data), "--method", method, "--targets", targets,
+                   "--out", str(files[-1])) == 0
+    calls = _counting(monkeypatch, "build_profile")
+    out = tmp_path / "abc.csv"
+    assert run("evaluate", *d3_args(data), "--attributions", *map(str, files), "--out", str(out)) == 0
+    assert sorted(args[2] for args in calls) == [0, 1, 2]
+    rows = list(csv.reader(out.read_text(encoding="utf-8").splitlines()[2:]))
+    assert [(r[0], r[2], r[3]) for r in rows if r[2] == "target"] == [
+        (str(files[0]), "target", "0"), (str(files[0]), "target", "1"),
+        (str(files[1]), "target", "1"), (str(files[1]), "target", "2"),
+    ]

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohortexplain import (
     DimensionTooLarge,
@@ -17,6 +20,8 @@ from cohortexplain import (
     ig_of_function,
     second_order_weights,
 )
+
+from cohortexplain.diagnostics import spearman
 
 from conftest import D3_FEATURES, D3_RESPONSES, make_dataset
 
@@ -259,3 +264,30 @@ def test_cs_vs_igcs_mc_route():
     record = cs_vs_igcs(ds, spec, target_index=0, mc_budget=200, seed=7, cap=3)
     assert record.cs_method == "permutation-mc"
     assert np.isfinite(record.rank_correlation)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(1, 30).flatmap(lambda d: st.tuples(
+    st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+    st.lists(st.sampled_from([-1.5, 0.0, 0.25, 2.0, 1e300]), min_size=d, max_size=d),
+)))
+def test_spearman_matches_scipy(pair):
+    """Average ranks with ties, d = 1, and constant inputs (nan)."""
+    from scipy.stats import spearmanr
+
+    a, b = (np.array(v, dtype=float) for v in pair)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        expected = spearmanr(a, b).statistic
+    got = spearman(a, b)
+    if np.isnan(expected):
+        assert np.isnan(got)
+    else:
+        assert got == pytest.approx(expected, rel=0, abs=1e-12)
+
+
+def test_spearman_edge_cases():
+    assert np.isnan(spearman([1.0], [2.0]))
+    assert np.isnan(spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]))
+    assert spearman([1.0, 2.0, 2.0, 5.0], [0.0, 1.0, 1.0, 9.0]) == pytest.approx(1.0, abs=1e-15)
+    assert spearman([3.0, 2.0, 1.0], [1.0, 2.0, 3.0]) == pytest.approx(-1.0, abs=1e-15)

@@ -12,6 +12,7 @@ from cohortexplain import (
     ColumnKind,
     GkwValue,
     SimilarityProfile,
+    SingularCovariance,
     UniquenessValue,
     cohort,
     exact_shapley,
@@ -19,7 +20,13 @@ from cohortexplain import (
 )
 
 from conftest import make_dataset, random_cohort_instance
-from oracles import cohort_mean_brute, shapley_by_permutations, subsets
+from oracles import (
+    cohort_mean_brute,
+    gkw_evaluate_cholesky,
+    gkw_weights_cholesky,
+    shapley_by_permutations,
+    subsets,
+)
 
 
 def test_d3_cohort_values(d3_cohort_value):
@@ -182,3 +189,60 @@ def test_lattice_matches_refinement_path(case):
         np.testing.assert_allclose(
             exact_shapley(vf).values, exhaustive_permutation_shapley(vf).values, rtol=0, atol=1e-12
         )
+
+
+def _lattice(d):
+    """Every subset of range(d), indexed by bitmask."""
+    return [tuple(j for j in range(d) if (mask >> j) & 1) for mask in range(1 << d)]
+
+
+@st.composite
+def gkw_cases(draw):
+    """Seeded Gaussian rows with duplicates and per-column scales 1e-3..1e3.
+    Without a ridge, d + 2 distinct rows keep Sigma non-singular: on a
+    rank-deficient Sigma whether a pivot comes out > 0 is rounding noise,
+    for a fresh factor and for the walk alike."""
+    d = draw(st.integers(1, 7))
+    ridge = draw(st.sampled_from([0.0, 1e-6]))
+    distinct = draw(st.integers(d + 2 if ridge == 0 else 2, 40))
+    n = draw(st.integers(distinct, 40))
+    scales = np.array(draw(st.lists(st.sampled_from([1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3]),
+                                    min_size=d, max_size=d)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.normal(size=(distinct, d))
+    rows = rng.permutation(np.concatenate([np.arange(distinct), rng.integers(0, distinct, n - distinct)]))
+    X = (base[rows] + rng.normal(size=d)) * scales
+    ds = make_dataset(X, rng.normal(size=n))
+    sigma = draw(st.sampled_from([0.1, 1.0]))
+    return GkwValue(ds, target_index=draw(st.integers(0, n - 1)), sigma=sigma, ridge=ridge)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(gkw_cases())
+def test_gkw_walk_matches_cholesky_oracle(gv):
+    """The depth-first lattice, weights(u) and evaluate(u) against a fresh
+    scipy factor and solve per subset.  Weights lie in [0, 1] with the
+    target's exactly 1.0, so they are compared to 1e-12 of that scale;
+    nu to 1e-12 relative (of max |y| where nu nears 0)."""
+    d, t = gv.d, gv.target_index
+    table = gv.all_values()
+    ref = np.array([gkw_evaluate_cholesky(gv, u) for u in _lattice(d)])
+    np.testing.assert_allclose(table, ref, rtol=1e-12, atol=1e-12 * np.abs(gv.responses).max())
+    for mask, u in enumerate(_lattice(d)):
+        w = gv.weights(u)
+        assert w[t] == 1.0
+        np.testing.assert_allclose(w, gkw_weights_cholesky(gv, u), rtol=0, atol=1e-12)
+        assert gv.evaluate(u) == table[mask]  # one walk behind both
+
+
+def test_gkw_constant_column_without_ridge_is_singular():
+    rng = np.random.default_rng(10)
+    X = rng.normal(size=(12, 3))
+    X[:, 1] = 3.0  # exactly representable mean, so the standardized column is exactly 0
+    gv = GkwValue(make_dataset(X, rng.normal(size=12)), target_index=0, ridge=0.0)
+    with pytest.raises(SingularCovariance):
+        gkw_weights_cholesky(gv, (1,))
+    assert np.isfinite(gv.evaluate((0, 2)))
+    for call in (lambda: gv.weights((1,)), lambda: gv.evaluate((0, 1, 2)), lambda: exact_shapley(gv)):
+        with pytest.raises(SingularCovariance):
+            call()
