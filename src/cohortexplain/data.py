@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -139,6 +139,9 @@ class Dataset:
     kinds: tuple[ColumnKind, ...]
     categories: tuple[Optional[tuple[str, ...]], ...]
     response_name: str = "y"
+    # The last (spec, widths) pair ``similarity_widths`` gave, replaced whole
+    # so that parallel workers always read a matching pair.
+    _widths: list = field(default_factory=lambda: [None], init=False, repr=False, compare=False)
 
     def __post_init__(self):
         feats = np.array(self.features, dtype=float)
@@ -182,24 +185,30 @@ class Dataset:
             raise MissingColumn(name) from None
 
 
-def _parse_column(cells: list[str]) -> Optional[np.ndarray]:
+def _parse_column(cells) -> Optional[np.ndarray]:
     """The cells as finite reals, or None if any cell is not one."""
     try:
-        values = np.array([float(cell) for cell in cells])
+        values = np.array(cells, dtype=float)
     except ValueError:
         return None
     return values if np.isfinite(values).all() else None
 
 
-def _numeric_column(name: str, cells: list[str], error, values: Optional[np.ndarray] = None) -> np.ndarray:
-    """The cells as finite reals, or ``error`` naming the first bad row.
-    ``values`` is the column's ``_parse_column`` result if the caller has it."""
-    if values is None:
+def _parse_table(data: list[list[str]], width: int) -> np.ndarray:
+    """The string table as reals, a column holding any cell that is not a
+    finite real made non-finite.  The whole table is parsed in one call
+    when every cell parses; only when one does not is it parsed column by
+    column.  Both give the values and errors of ``float()``."""
+    try:
+        return np.array(data, dtype=float)
+    except ValueError:
+        pass
+    table = np.full((len(data), width), np.nan)
+    for i, cells in enumerate(zip(*data)):
         values = _parse_column(cells)
-    if values is None:
-        row = next(r for r, cell in enumerate(cells) if _parse_column([cell]) is None)
-        raise error(name, row, cells[row])
-    return values
+        if values is not None:
+            table[:, i] = values
+    return table
 
 
 def _read_rows(path) -> tuple[list[str], list[list[str]]]:
@@ -215,12 +224,12 @@ def _read_rows(path) -> tuple[list[str], list[list[str]]]:
         raise DataError(f"{path}: duplicate column names in header")
     if not data:
         raise EmptyDataset(f"{path}: no data rows")
+    width = len(header)
     for r, row in enumerate(data):
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {r} has {len(row)} fields, expected {len(header)}")
-        for c, cell in enumerate(row):
-            if cell == "":
-                raise MissingValue(r, header[c])
+        if len(row) != width:
+            raise DataError(f"{path}: row {r} has {len(row)} fields, expected {width}")
+        if "" in row:
+            raise MissingValue(r, header[row.index("")])
     return header, data
 
 
@@ -254,12 +263,23 @@ def load_dataset(
         if overrides.get(name) is ColumnKind.CATEGORICAL:
             raise ConfigError(f"response or prediction column {name!r} cannot be categorical")
 
-    columns = {name: [row[i] for row in data] for i, name in enumerate(header)}
-    y = _numeric_column(response_column, columns[response_column], NonNumericResponse)
+    table = _parse_table(data, len(header))
+    finite = np.isfinite(table).all(axis=0)
+    index = {name: i for i, name in enumerate(header)}
+
+    def numeric(name: str, error) -> np.ndarray:
+        """The column as finite reals, or ``error`` naming the first bad row."""
+        i = index[name]
+        if not finite[i]:
+            r = next(r for r, row in enumerate(data) if _parse_column([row[i]]) is None)
+            raise error(name, r, data[r][i])
+        return table[:, i]
+
+    y = numeric(response_column, NonNumericResponse)
     if pred_column is None:
         responses = y
     else:
-        pred = _numeric_column(pred_column, columns[pred_column], NonNumericResponse)
+        pred = numeric(pred_column, NonNumericResponse)
         if isinstance(response_mode, Residual):
             responses = y - pred
         elif isinstance(response_mode, AbsResidual):
@@ -273,21 +293,20 @@ def load_dataset(
     if not feature_names:
         raise EmptyDataset(f"{path}: no feature columns besides the response")
 
-    matrix = np.empty((len(data), len(feature_names)))
+    matrix = table.take([index[name] for name in feature_names], axis=1)  # C order, as BLAS callers expect
     kinds: list[ColumnKind] = []
     categories: list[Optional[tuple[str, ...]]] = []
     for j, name in enumerate(feature_names):
-        cells = columns[name]
+        i = index[name]
         kind = overrides.get(name)
-        values = None if kind is ColumnKind.CATEGORICAL else _parse_column(cells)
         if kind is None:
-            kind = ColumnKind.CATEGORICAL if values is None else ColumnKind.NUMERIC
+            kind = ColumnKind.NUMERIC if finite[i] else ColumnKind.CATEGORICAL
         if kind is ColumnKind.NUMERIC:
-            matrix[:, j] = _numeric_column(name, cells, NonNumericValue, values)
+            numeric(name, NonNumericValue)  # raises if an override forced a non-real column
             categories.append(None)
         else:
             codes: dict[str, int] = {}
-            matrix[:, j] = [codes.setdefault(cell, len(codes)) for cell in cells]
+            matrix[:, j] = [codes.setdefault(row[i], len(codes)) for row in data]
             categories.append(tuple(codes))
         kinds.append(kind)
 
@@ -349,13 +368,23 @@ def dataset_summary(ds: Dataset) -> str:
 
 def similarity_widths(ds: Dataset, spec: SimilaritySpec) -> np.ndarray:
     """Per-column widths w_j from each rule and the column's observed range:
-    row i is similar to target t on column j iff |x_ij - x_tj| <= w_j."""
+    row i is similar to target t on column j iff |x_ij - x_tj| <= w_j.
+
+    The dataset keeps the widths of the last spec object it was given, so
+    the profiles of one command are built from one validated computation
+    (``make_similarity_spec`` makes it, before any worker starts)."""
+    last = ds._widths[0]
+    if last is not None and last[0] is spec:
+        return last[1]
     if len(spec.rules) != ds.d:
         raise ConfigError(f"spec has {len(spec.rules)} rules for {ds.d} columns")
     for name, rule, kind in zip(ds.column_names, spec.rules, ds.kinds):
         if kind is ColumnKind.CATEGORICAL and not isinstance(rule, Equality):
             raise ConfigError(f"categorical column {name!r} must use the equality rule")
-    return np.array([rule.column_width(r) for rule, r in zip(spec.rules, feature_ranges(ds))])
+    widths = np.array([rule.column_width(r) for rule, r in zip(spec.rules, feature_ranges(ds))])
+    widths.setflags(write=False)
+    ds._widths[0] = (spec, widths)
+    return widths
 
 
 def make_similarity_spec(

@@ -508,6 +508,22 @@ def test_gkw_attribute_builds_no_profile(tmp_path, monkeypatch):
     assert len(calls) == 2  # the ABC report still reads each target's cohort
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_attribute_computes_widths_once(tmp_path, monkeypatch, threads):
+    """The widths depend on the dataset and the spec only, so one command
+    computes them once, not once per target (each computation reads the
+    column ranges)."""
+    from cohortexplain import data
+
+    data_path = write_d3(tmp_path)
+    calls = []
+    original = data.feature_ranges
+    monkeypatch.setattr(data, "feature_ranges", lambda ds: calls.append(ds) or original(ds))
+    assert run("attribute", "--data", str(data_path), "--response", "y", "--method", "igcs",
+               "--targets", "0-2", "--threads", threads, "--out", str(tmp_path / "a.jsonl")) == 0
+    assert len(calls) == 1
+
+
 def test_evaluate_builds_each_target_once(tmp_path, monkeypatch):
     data = write_d3(tmp_path)
     files = []

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -25,6 +27,7 @@ from cohortexplain import (
     make_similarity_spec,
     soft_similarity,
 )
+from cohortexplain.data import similarity_widths
 
 from conftest import make_dataset, random_binary_profile
 from oracles import cohort_mean_brute, indicators_by_rule
@@ -121,6 +124,46 @@ def test_categorical_column_needs_equality(rule):
         make_similarity_spec(ds, overrides={"x2": rule})
     with pytest.raises(ConfigError, match="'x2' must use the equality rule"):
         build_profile(ds, SimilaritySpec((Equality(), rule)), 0)
+
+
+def test_widths_memo_still_validates_hand_built_specs():
+    ds = make_dataset([[0.0, 1.0], [4.0, 0.0]], [0, 0], kinds=(ColumnKind.NUMERIC, ColumnKind.CATEGORICAL))
+    spec = make_similarity_spec(ds)  # fills the dataset's widths memo
+    with pytest.raises(ConfigError, match="spec has 1 rules for 2 columns"):
+        build_profile(ds, SimilaritySpec((Equality(),)), 0)
+    with pytest.raises(ConfigError, match="'x2' must use the equality rule"):
+        build_profile(ds, SimilaritySpec((RelativeRange(0.1), RelativeRange(0.1))), 0)
+    same = SimilaritySpec(spec.rules)
+    np.testing.assert_array_equal(similarity_widths(ds, same), [0.4, 0.0])
+    assert similarity_widths(ds, spec) is similarity_widths(ds, spec)
+
+
+def test_widths_memo_gives_each_thread_its_own_spec():
+    """Workers sharing one dataset but not one spec each get their own
+    spec's widths, never a (spec, widths) pair torn between two."""
+    X = np.arange(20.0).reshape(10, 2)
+    ds = make_dataset(X, np.zeros(10))
+    specs = [SimilaritySpec((RelativeRange(k / 10), AbsoluteRange(k))) for k in range(1, 9)]
+    expected = [similarity_widths(make_dataset(X, np.zeros(10)), spec) for spec in specs]
+    wrong = []
+
+    def hammer(k):
+        for _ in range(2000):
+            if not np.array_equal(similarity_widths(ds, specs[k]), expected[k]):
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=hammer, args=(k,)) for k in range(len(specs))]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert wrong == []
 
 
 def test_target_out_of_range(d3_dataset, d3_spec):
