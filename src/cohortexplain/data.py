@@ -123,14 +123,14 @@ ResponseMode = Union[Raw, Residual, AbsResidual, SquaredResidual]
 # ---------------------------------------------------------------------------
 # Dataset
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Immutable n x d feature matrix plus an n-vector of responses.
 
     Numeric columns hold the parsed reals; categorical columns hold integer
     codes assigned in first-appearance order, with the original labels kept
     in ``categories``.  Arrays are read-only so the dataset can be shared
-    across parallel workers.
+    across parallel workers.  Datasets compare and hash by identity.
     """
 
     features: np.ndarray
@@ -141,7 +141,7 @@ class Dataset:
     response_name: str = "y"
     # The last (spec, widths) pair ``similarity_widths`` gave, replaced whole
     # so that parallel workers always read a matching pair.
-    _widths: list = field(default_factory=lambda: [None], init=False, repr=False, compare=False)
+    _widths: list = field(default_factory=lambda: [None], init=False, repr=False)
 
     def __post_init__(self):
         feats = np.array(self.features, dtype=float)

@@ -9,18 +9,21 @@ a soft cardinality,
 
 whose corners reproduce the cohort means exactly.  Attributions come from
 integrating the exact gradient of nu along the main diagonal with a midpoint
-rule; on the diagonal every row's weight collapses to (1 - alpha)^{|J_i|},
-so one node costs O(sum_i |J_i|) after bucketing rows by |J_i|.
+rule.  On the diagonal every row's weight collapses to u^{|J_i|}, u = 1 - alpha,
+so the integral reduces to two scalar integrals per distinct |J_i| and one
+row-weighted sum over the dissimilarity matrix: O(n d + R K) for R nodes and
+K distinct counts.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, ZOutOfRange
+from .errors import ConfigError
 from .shapley import Attribution, _finish
 from .similarity import SimilarityProfile, check_unit_cube
 
@@ -35,6 +38,10 @@ class QuadratureSpec:
     steps: int = 50
 
     def __post_init__(self):
+        try:
+            operator.index(self.steps)
+        except TypeError:
+            raise ConfigError(f"quadrature steps must be an integer, got {self.steps!r}") from None
         if self.steps < 1:
             raise ConfigError(f"quadrature steps must be >= 1, got {self.steps}")
 
@@ -42,27 +49,13 @@ class QuadratureSpec:
         return (np.arange(self.steps) + 0.5) / self.steps
 
 
-class DiagonalTerms(NamedTuple):
-    """Pieces of the gradient at a diagonal point alpha * 1.
-
-    denominator B = sum_i (1-alpha)^{|J_i|}, numerator C = sum_i f_i (...),
-    and the per-coordinate derivative sums D_k, A_k over rows with k in J_i.
-    The gradient coordinate is (A_k B - C D_k) / B^2.
-    """
-
-    denominator: float
-    numerator: float
-    denominator_grads: np.ndarray
-    numerator_grads: np.ndarray
-
-
 class SoftValue:
     """The soft cohort mean nu(z) for one target, with exact derivatives.
 
-    Rows are bucketed by dissimilarity count |J_i| at construction so each
-    distinct power of (1 - alpha) is computed once per diagonal node;
-    (1-alpha)^0 = 1 even at alpha = 1, which keeps the target (and any
-    duplicates of it) in every cohort.
+    Rows are bucketed by dissimilarity count |J_i| at construction: each
+    bucket keeps its row count and response sum, and each row its bucket.
+    u^0 = 1 even at alpha = 1, which keeps the target (and any duplicates of
+    it) in every cohort.
     """
 
     def __init__(self, profile: SimilarityProfile, responses):
@@ -73,21 +66,10 @@ class SoftValue:
         self.responses = responses
         self._dissim = ~profile.indicators
         counts = profile.dissim_counts
-        distinct, inverse = np.unique(counts, return_inverse=True)
+        distinct, self._bucket = np.unique(counts, return_inverse=True)
         self._distinct = distinct.astype(float)
-        self._rows_per = np.bincount(inverse).astype(float)
-        self._fsum_per = np.bincount(inverse, weights=responses)
-        positive = distinct >= 1
-        self._pos_counts = distinct[positive].astype(float)
-        col_rows = np.empty((positive.sum(), profile.d))
-        col_fsum = np.empty_like(col_rows)
-        for k, c in enumerate(distinct[positive]):
-            rows = counts == c
-            sub = self._dissim[rows]
-            col_rows[k] = sub.sum(axis=0)
-            col_fsum[k] = responses[rows] @ sub
-        self._col_rows = col_rows
-        self._col_fsum = col_fsum
+        self._rows_per = np.bincount(self._bucket).astype(float)
+        self._fsum_per = np.bincount(self._bucket, weights=responses)
         self.grand_mean = float(responses.mean())
         self.refined_mean = float(responses[counts == 0].mean())
 
@@ -134,36 +116,30 @@ class SoftValue:
         n_grads = -(resp @ partials)
         return (n_grads * denom - numer * d_grads) / denom**2
 
-    def diagonal_terms(self, alpha: float) -> DiagonalTerms:
-        """Gradient pieces at z = alpha * 1 via the bucketed power table."""
-        if not 0.0 <= alpha <= 1.0:
-            raise ZOutOfRange(f"alpha must lie in [0, 1], got {alpha}")
-        u = 1.0 - alpha
-        powers = u ** self._distinct
-        B = float(self._rows_per @ powers)
-        C = float(self._fsum_per @ powers)
-        lowered = u ** (self._pos_counts - 1.0)
-        D = -(lowered @ self._col_rows)
-        A = -(lowered @ self._col_fsum)
-        return DiagonalTerms(B, C, D, A)
-
-    def diagonal_gradient(self, alpha: float) -> np.ndarray:
-        t = self.diagonal_terms(alpha)
-        return (t.numerator_grads * t.denominator - t.numerator * t.denominator_grads) / t.denominator**2
-
 
 def igcs_attribution(sv: SoftValue, quad: QuadratureSpec = QuadratureSpec()) -> Attribution:
     """Integrated-gradient attribution psi of the soft cohort value.
 
-    psi_j averages d nu / d z_j over the midpoint nodes of the diagonal path
-    from 0 to 1.  The efficiency gap (nu(1) - nu(0)) - sum(psi) is reported
-    as-is; it shrinks at the quadrature order and is never normalized away.
-    Runtime is O(n R d).
+    psi_k averages d nu / d z_k over the midpoint nodes u_r = 1 - alpha_r of
+    the diagonal path.  There a row with |J_i| = c contributes
+    u^(c-1) (C / B^2 - f_i / B) to every k in J_i, where B = sum_c r_c u^c and
+    C = sum_c f_c u^c over the buckets' row counts r_c and response sums f_c.
+    So psi = w @ ~S with one weight per row, w_i = f_i a_c + b_c, from the
+    bucket integrals a_c = -mean_r u^(c-1) / B and b_c = mean_r C u^(c-1) / B^2:
+    O(R K) for the integrals plus one O(n d) product.
+
+    The efficiency gap (nu(1) - nu(0)) - sum(psi) is reported as-is; it
+    shrinks at the quadrature order and is never normalized away.
     """
-    grads = np.empty((quad.steps, sv.d))
-    for r, alpha in enumerate(quad.nodes()):
-        grads[r] = sv.diagonal_gradient(alpha)
-    psi = grads.mean(axis=0)
+    u = 1.0 - quad.nodes()[:, np.newaxis]
+    powers = u**sv._distinct
+    B = powers @ sv._rows_per
+    C = powers @ sv._fsum_per
+    lowered = u ** (sv._distinct - 1.0) / B[:, np.newaxis]
+    a = -lowered.mean(axis=0)
+    b = (lowered * (C / B)[:, np.newaxis]).mean(axis=0)
+    w = sv.responses * a[sv._bucket] + b[sv._bucket]
+    psi = w @ sv._dissim
     return _finish(
         "igcs", psi, sv.grand_mean, sv.refined_mean, sv.profile.target_index,
         steps=quad.steps,

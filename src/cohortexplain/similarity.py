@@ -19,13 +19,13 @@ from .data import Dataset, SimilaritySpec, similarity_widths
 from .errors import TargetOutOfRange, ZOutOfRange
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimilarityProfile:
     """Binary similarity of every observation to one target.
 
     ``indicators[i, j]`` is True when observation i is similar to the target
     on feature j; ``dissim_counts[i]`` is |J_i|.  The target row is
-    all-similar, so J_t is empty.
+    all-similar, so J_t is empty.  Profiles compare and hash by identity.
     """
 
     target_index: int

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -266,6 +267,15 @@ def test_dataset_immutability():
         ds.features[0, 0] = 9.0
     with pytest.raises(ValueError):
         ds.responses[0] = 9.0
+
+
+def test_dataset_compares_by_identity():
+    # field-wise equality would compare the arrays and raise ValueError
+    ds = make_dataset([[1.0, 2.0], [3.0, 4.0]], [5.0, 6.0])
+    copy = dataclasses.replace(ds)
+    assert (ds == copy) is False and ds != copy
+    assert ds == ds
+    assert len({ds, copy}) == 2
 
 
 def test_dataset_validation():

@@ -32,6 +32,14 @@ def test_quadrature_spec_validation():
         QuadratureSpec(0)
 
 
+@pytest.mark.parametrize("steps", [2.5, 2.0, "3", None])
+def test_quadrature_steps_must_be_integer(steps):
+    # QuadratureSpec(2.5) would put a node at alpha = 1, where u^(c-1) is infinite for c = 0
+    with pytest.raises(ConfigError, match="integer"):
+        QuadratureSpec(steps)
+    assert QuadratureSpec(np.int64(3)).steps == 3
+
+
 def test_soft_value_examples(d3_soft):
     assert d3_soft.value(np.zeros(2)) == 2.0
     assert d3_soft.value(np.array([0.5, 0.5])) == pytest.approx(11.0 / 7.0, abs=1e-15)
@@ -122,34 +130,50 @@ def test_d3_gradient_closed_form(d3_soft):
         u = 1.0 - alpha
         denom = (1 + u + u * u) ** 2
         expected = np.array([-u * (2 + u) / denom, -(1 + 2 * u) / denom])
-        np.testing.assert_allclose(d3_soft.diagonal_gradient(alpha), expected, atol=1e-14)
         np.testing.assert_allclose(d3_soft.gradient(np.full(2, alpha)), expected, atol=1e-14)
+    # one midpoint node sits at alpha = 0.5
     np.testing.assert_allclose(
-        d3_soft.diagonal_gradient(0.5), [-1.25 / 3.0625, -2.0 / 3.0625], atol=1e-14
+        igcs_attribution(d3_soft, QuadratureSpec(1)).values,
+        [-1.25 / 3.0625, -2.0 / 3.0625],
+        atol=1e-14,
     )
 
 
-def test_diagonal_terms_examples(d3_soft):
-    at0 = d3_soft.diagonal_terms(0.0)
-    assert at0.denominator == 3.0 and at0.numerator == 6.0
-    at1 = d3_soft.diagonal_terms(1.0)
-    assert at1.denominator == 1.0 and at1.numerator == 1.0  # only the target survives
-    at_half = d3_soft.diagonal_terms(0.5)
-    assert at_half.denominator == 1.75 and at_half.numerator == 2.75
-    with pytest.raises(ZOutOfRange):
-        d3_soft.diagonal_terms(1.5)
-
-
-def test_fast_path_equals_general_gradient():
+def _oracle_case(kind):
     rng = np.random.default_rng(26)
-    profile = random_binary_profile(rng, n=80, d=15, target=7, density=0.4)
-    sv = SoftValue(profile, rng.normal(size=80))
-    for alpha in [0.0, 0.123, 0.5, 0.87, 1.0]:
-        np.testing.assert_allclose(
-            sv.diagonal_gradient(alpha),
-            sv.gradient(np.full(15, alpha)),
-            atol=1e-12,
-        )
+    if kind == "single-row":
+        return np.ones((1, 5), dtype=bool), np.array([2.5])
+    S = rng.random((40, 9)) < 0.6
+    S[0] = True
+    responses = rng.normal(size=40)
+    if kind == "target-duplicates":
+        S[1:6] = True  # |J_i| = 0
+    elif kind == "all-dissimilar-row":
+        S[7] = False
+    elif kind == "similar-column":
+        S[:, 4] = True
+    elif kind == "scaled-responses":
+        responses *= 10.0 ** rng.uniform(-3.0, 3.0, size=40)
+    return S, responses
+
+
+@pytest.mark.parametrize("steps", [1, 2, 50])
+@pytest.mark.parametrize(
+    "kind",
+    ["single-row", "target-duplicates", "all-dissimilar-row", "similar-column", "scaled-responses"],
+)
+def test_igcs_matches_gradient_oracle(kind, steps):
+    S, responses = _oracle_case(kind)
+    sv = SoftValue(SimilarityProfile.from_indicators(S, 0), responses)
+    quad = QuadratureSpec(steps)
+    psi = igcs_attribution(sv, quad).values
+    oracle = ig_of_function(sv.value, sv.d, quad, gradient=sv.gradient)
+    scale = np.abs(oracle).max()
+    assert np.abs(psi - oracle).max() <= 1e-12 * scale
+    if kind == "similar-column":
+        assert psi[4] == 0.0 and scale > 0.0
+    if kind == "single-row":
+        assert scale == 0.0
 
 
 def test_d3_igcs_limit(d3_soft):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import threading
@@ -39,6 +40,14 @@ def test_d3_profile(d3_dataset, d3_spec):
         profile.indicators, [[True, True], [True, False], [False, False]]
     )
     np.testing.assert_array_equal(profile.dissim_counts, [0, 1, 2])
+
+
+def test_profile_compares_by_identity(d3_profile):
+    # field-wise equality would compare the indicator arrays and raise ValueError
+    copy = dataclasses.replace(d3_profile)
+    assert (d3_profile == copy) is False and d3_profile != copy
+    assert d3_profile == d3_profile
+    assert len({d3_profile, copy}) == 2
 
 
 def test_target_row_all_similar_for_any_rule():
