@@ -37,7 +37,7 @@ from .data import (
     parse_rule,
     parse_similarity_config,
 )
-from .diagnostics import corner_convergence, heps_mass
+from .diagnostics import CORNER_DIMENSION_CAP, corner_convergence, heps_mass
 from .errors import (
     ComputationError,
     ConfigError,
@@ -509,7 +509,7 @@ def _cmd_diagnose(args) -> int:
     def one(t):
         profile = build_profile(ds, spec, t)
         report = heps_mass(profile, args.eps, args.samples, args.seed)
-        corner = corner_convergence(profile) if ds.d <= 20 else None
+        corner = corner_convergence(profile) if ds.d <= CORNER_DIMENSION_CAP else None
         return [
             report.target_index, repr(report.eps), repr(report.a), repr(report.A),
             report.duplicates, report.rows_used,

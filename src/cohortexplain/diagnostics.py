@@ -21,8 +21,11 @@ from .evaluation import abc_report
 from .igcs import QuadratureSpec, SoftValue, igcs_attribution
 from .sampling import rng_from
 from .shapley import DEFAULT_DIMENSION_CAP, exact_shapley, mc_shapley
-from .similarity import SimilarityProfile, build_profile
-from .values import CohortValue, _similar_masks, _superset_sums
+from .similarity import SimilarityProfile, build_profile, superset_tables
+from .values import CohortValue
+
+#: largest d for which the corner census walks all 2^d corners
+CORNER_DIMENSION_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -75,7 +78,7 @@ def heps_mass(
     A = float(counts[nontarget].max() / d) if nontarget.any() else 0.0
     bound = (m * m / eps) * math.exp(-math.floor(a * d) / 4.0) if m else 0.0
 
-    dissim = (~profile.indicators[nontarget]).astype(float)  # (n-1, d)
+    dissim = profile.dissimilar[nontarget].astype(float)  # (n-1, d)
     rng = rng_from(seed)
     hits = 0
     done = 0
@@ -114,13 +117,13 @@ class CornerReport:
     d: int
 
 
-def corner_convergence(profile: SimilarityProfile, cap: int = 20) -> CornerReport:
+def corner_convergence(profile: SimilarityProfile, cap: int = CORNER_DIMENSION_CAP) -> CornerReport:
     """Exhaustive corner census: the corner 1_u:0_-u lies inside H_eps
     (for any eps <= 1) iff some non-target row has u disjoint from J_i.
 
-    Counted for all 2^d corners with one superset-sum pass over the rows'
-    similar-feature masks, so d must stay small.  The fraction can never
-    exceed m * 2^(-d a); that inequality is checked here as a self-test.
+    Counted for all 2^d corners with one superset table of the non-target
+    rows, so d must stay small.  The fraction can never exceed
+    m * 2^(-d a); that inequality is checked here as a self-test.
     """
     d = profile.d
     if d > cap:
@@ -132,8 +135,8 @@ def corner_convergence(profile: SimilarityProfile, cap: int = 20) -> CornerRepor
     m = int(nontarget.sum())
     if m == 0:
         return CornerReport(fraction=0.0, bound=0.0, corners_inside=0, d=d)
-    # table[u] counts rows similar on all of u, i.e. with u disjoint from J_i.
-    table = _superset_sums(_similar_masks(profile)[nontarget], np.ones(m), d)
+    # table[u] counts non-target rows similar on all of u, i.e. with u disjoint from J_i.
+    (table,) = superset_tables(profile, nontarget.astype(float))
     inside = int(np.count_nonzero(table))
     fraction = inside / (1 << d)
     min_count = int(counts[nontarget].min())

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .shapley import Attribution, _finish
-from .similarity import SimilarityProfile, check_unit_cube
+from .similarity import SimilarityProfile, check_unit_cube, soft_similarity
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,6 @@ class SoftValue:
             raise ValueError(f"responses must have shape ({profile.n},), got {responses.shape}")
         self.profile = profile
         self.responses = responses
-        self._dissim = ~profile.indicators
         counts = profile.dissim_counts
         distinct, self._bucket = np.unique(counts, return_inverse=True)
         self._distinct = distinct.astype(float)
@@ -80,9 +79,7 @@ class SoftValue:
     def value(self, z) -> float:
         """nu(z): soft total over soft cardinality; nu(0) is the grand mean
         and every corner equals the matching cohort mean exactly."""
-        z = check_unit_cube(z, self.d)
-        factors = np.where(self._dissim, 1.0 - z[np.newaxis, :], 1.0)
-        s = factors.prod(axis=1)
+        s = soft_similarity(self.profile, z)
         return float((self.responses @ s) / s.sum())
 
     def gradient(self, z) -> np.ndarray:
@@ -94,11 +91,12 @@ class SoftValue:
         are handled without dividing by zero.
         """
         z = check_unit_cube(z, self.d)
+        D = self.profile.dissimilar
         resp = self.responses
         one_minus = 1.0 - z
-        zero_factor = self._dissim & (one_minus == 0.0)[np.newaxis, :]
+        zero_factor = D & (one_minus == 0.0)[np.newaxis, :]
         n_zero = zero_factor.sum(axis=1)
-        live = self._dissim & ~zero_factor
+        live = D & ~zero_factor
         prod_live = np.where(live, one_minus[np.newaxis, :], 1.0).prod(axis=1)
 
         s = np.where(n_zero == 0, prod_live, 0.0)
@@ -108,7 +106,7 @@ class SoftValue:
         partials = np.zeros((len(resp), self.d))
         full = n_zero == 0
         safe = np.where(one_minus == 0.0, 1.0, one_minus)
-        partials[full] = (prod_live[full, np.newaxis] / safe[np.newaxis, :]) * self._dissim[full]
+        partials[full] = (prod_live[full, np.newaxis] / safe[np.newaxis, :]) * D[full]
         single = n_zero == 1
         partials[single] = prod_live[single, np.newaxis] * zero_factor[single]
 
@@ -124,7 +122,7 @@ def igcs_attribution(sv: SoftValue, quad: QuadratureSpec = QuadratureSpec()) -> 
     the diagonal path.  There a row with |J_i| = c contributes
     u^(c-1) (C / B^2 - f_i / B) to every k in J_i, where B = sum_c r_c u^c and
     C = sum_c f_c u^c over the buckets' row counts r_c and response sums f_c.
-    So psi = w @ ~S with one weight per row, w_i = f_i a_c + b_c, from the
+    So psi = w @ D with one weight per row, w_i = f_i a_c + b_c, from the
     bucket integrals a_c = -mean_r u^(c-1) / B and b_c = mean_r C u^(c-1) / B^2:
     O(R K) for the integrals plus one O(n d) product.
 
@@ -139,7 +137,7 @@ def igcs_attribution(sv: SoftValue, quad: QuadratureSpec = QuadratureSpec()) -> 
     a = -lowered.mean(axis=0)
     b = (lowered * (C / B)[:, np.newaxis]).mean(axis=0)
     w = sv.responses * a[sv._bucket] + b[sv._bucket]
-    psi = w @ sv._dissim
+    psi = w @ sv.profile.dissimilar
     return _finish(
         "igcs", psi, sv.grand_mean, sv.refined_mean, sv.profile.target_index,
         steps=quad.steps,

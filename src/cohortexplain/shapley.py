@@ -11,17 +11,22 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionTooLarge
+from .errors import ComputationError, DimensionTooLarge
 from .sampling import fisher_yates, rng_from
 
 DEFAULT_DIMENSION_CAP = 25
 EXHAUSTIVE_PERMUTATION_CAP = 8
+#: 2^d-entry float64 tables the exact engine budgets for.  Three are live at
+#: its peak (the value table with the superset tables or the popcounts and
+#: weights); the rest is headroom for the memory others hold.
+EXACT_TABLES = 6
 
 
 class ValueFunction(ABC):
@@ -73,6 +78,17 @@ def _mask_to_subset(mask: int, d: int) -> tuple[int, ...]:
     return tuple(j for j in range(d) if (mask >> j) & 1)
 
 
+def depth_first_subsets(d: int):
+    """Every non-empty subset u of [d] as (bitmask, sorted tuple), depth
+    first: each child of u adds a feature above max(u), and u comes after
+    its prefix u[:-1] with only subsets longer than u[:-1] in between."""
+    stack = [(1 << j, (j,)) for j in reversed(range(d))]
+    while stack:
+        mask, u = stack.pop()
+        yield mask, u
+        stack.extend((mask | 1 << j, u + (j,)) for j in reversed(range(u[-1] + 1, d)))
+
+
 def _popcounts(size: int) -> np.ndarray:
     """Popcount of every integer in [0, size); size must be a power of two."""
     pop = np.zeros(size, dtype=np.int64)
@@ -122,16 +138,29 @@ def _finish(method, values, nu_empty, nu_full, target_index, stderr=None, **meta
     )
 
 
+def physical_memory_bytes() -> int:
+    """The machine's physical memory, from ``os.sysconf``."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def exact_shapley(nu: ValueFunction, cap: int = DEFAULT_DIMENSION_CAP) -> Attribution:
     """Exact Shapley values phi_j = (1/d) sum_u C(d-1,|u|)^-1 (nu(u+j) - nu(u)).
 
     Evaluates nu on all 2^d subsets (vectorized when the value function
     supports it) and combines increments with exact weights, so the result
-    is deterministic and satisfies efficiency to rounding error.
+    is deterministic and satisfies efficiency to rounding error.  Refuses,
+    before allocating anything, a d whose tables would not fit in physical
+    memory.
     """
     d = nu.d
     if d > cap:
         raise DimensionTooLarge(d, cap)
+    need, have = EXACT_TABLES * 8 << d, physical_memory_bytes()
+    if need > have:
+        raise ComputationError(
+            f"exact Shapley at d={d} needs about {need / 2**30:.1f} GiB for its 2^d tables; "
+            f"physical memory is {have / 2**30:.1f} GiB"
+        )
     vals = np.asarray(nu.all_values(), dtype=float)
     # W[u] = 1 / (d * C(d-1, |u|)); the full set (|u| = d) never lacks a feature, so its 0 is unused
     weights = np.array([1.0 / (d * math.comb(d - 1, s)) for s in range(d)] + [0.0])

@@ -1,11 +1,11 @@
-"""Per-target similarity indicators, cohorts, cohort refinement along an
-ordering, and soft similarity.
+"""Per-target dissimilarity sets, cohorts, cohort refinement along an
+ordering, soft similarity and the subset-lattice tables.
 
-For a fixed target t, S[i, j] = |x_ij - x_tj| <= w_j says whether observation
-i is similar to the target on feature j, w_j being the width of the column's
-rule.  The dissimilarity set of each row is J_i = {j : S[i, j] = 0}; the
-boolean matrix and the counts |J_i| are the only representation of it, and
-every cohort, refinement path and soft weight is computed from them.
+For a fixed target t, D[i, j] = |x_ij - x_tj| > w_j says whether feature j is
+in the dissimilarity set J_i of observation i, w_j being the width of the
+column's rule.  That boolean matrix, held by the profile, and the counts
+|J_i| are the only representation of the sets; every cohort, refinement
+path, soft weight and subset-lattice table is computed from them, here.
 """
 
 from __future__ import annotations
@@ -16,55 +16,70 @@ from typing import Optional
 import numpy as np
 
 from .data import Dataset, SimilaritySpec, similarity_widths
-from .errors import TargetOutOfRange, ZOutOfRange
+from .errors import DimensionTooLarge, TargetOutOfRange, ZOutOfRange
 
 
 @dataclass(frozen=True, eq=False)
 class SimilarityProfile:
-    """Binary similarity of every observation to one target.
+    """Dissimilarity sets J_i of every observation for one target.
 
-    ``indicators[i, j]`` is True when observation i is similar to the target
-    on feature j; ``dissim_counts[i]`` is |J_i|.  The target row is
-    all-similar, so J_t is empty.  Profiles compare and hash by identity.
+    ``dissimilar[i, j]`` is True when j is in J_i, i.e. observation i is
+    not similar to the target on feature j; ``dissim_counts[i]`` is |J_i|.
+    The profile keeps a read-only view of the matrix it is given.  The
+    target row is all-similar, so J_t is empty.  ``indicators`` is the
+    derived similarity matrix ~D.  Profiles compare and hash by identity.
     """
 
     target_index: int
     d: int
-    indicators: np.ndarray
+    dissimilar: np.ndarray
     dissim_counts: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        S = np.array(self.indicators, dtype=bool)
-        if S.ndim != 2 or S.shape[1] != self.d:
-            raise ValueError(f"indicators must have shape (n, {self.d}), got {S.shape}")
-        if not 0 <= self.target_index < S.shape[0]:
-            raise TargetOutOfRange(self.target_index, S.shape[0])
-        if not S[self.target_index].all():
+        D = np.asarray(self.dissimilar, dtype=bool).view()
+        if D.ndim != 2 or D.shape[1] != self.d:
+            raise ValueError(f"dissimilarity matrix must have shape (n, {self.d}), got {D.shape}")
+        if not 0 <= self.target_index < D.shape[0]:
+            raise TargetOutOfRange(self.target_index, D.shape[0])
+        if D[self.target_index].any():
             raise ValueError("target row must be similar to itself on every feature")
-        counts = (~S).sum(axis=1).astype(np.int64)
-        for arr in (S, counts):
+        counts = D.sum(axis=1)
+        for arr in (D, counts):
             arr.setflags(write=False)
-        object.__setattr__(self, "indicators", S)
+        object.__setattr__(self, "dissimilar", D)
         object.__setattr__(self, "dissim_counts", counts)
 
     @property
     def n(self) -> int:
-        return self.indicators.shape[0]
+        return self.dissimilar.shape[0]
+
+    @property
+    def indicators(self) -> np.ndarray:
+        """S = ~D: True when observation i is similar to the target on feature j."""
+        return ~self.dissimilar
 
     @classmethod
     def from_indicators(cls, indicators: np.ndarray, target_index: int) -> "SimilarityProfile":
         S = np.asarray(indicators, dtype=bool)
-        return cls(target_index=target_index, d=S.shape[1], indicators=S)
+        return cls(target_index=target_index, d=S.shape[1], dissimilar=~S)
 
 
 def build_profile(ds: Dataset, spec: SimilaritySpec, target_index: int) -> SimilarityProfile:
-    """Indicators S[i, j] = |x_ij - x_tj| <= w_j for one target t, w from ``similarity_widths``."""
+    """D[i, j] = |x_ij - x_tj| > w_j for one target t, w from ``similarity_widths``."""
     if not 0 <= target_index < ds.n:
         raise TargetOutOfRange(target_index, ds.n)
     widths = similarity_widths(ds, spec)
     diff = ds.features - ds.features[target_index]
     np.abs(diff, out=diff)
-    return SimilarityProfile.from_indicators(diff <= widths, target_index)
+    return SimilarityProfile(target_index, ds.d, diff > widths)
+
+
+def feature_subset(u, d: int) -> list[int]:
+    """The subset u as sorted distinct feature indices, each in [0, d)."""
+    u = sorted(set(int(j) for j in u))
+    if u and (u[0] < 0 or u[-1] >= d):
+        raise ValueError(f"feature subset {u} not contained in [0, {d})")
+    return u
 
 
 def cohort(profile: SimilarityProfile, u) -> np.ndarray:
@@ -73,12 +88,10 @@ def cohort(profile: SimilarityProfile, u) -> np.ndarray:
     The empty set conditions on nothing, so it returns all rows; the target
     is always a member.
     """
-    u = sorted(set(int(j) for j in u))
-    if u and (u[0] < 0 or u[-1] >= profile.d):
-        raise ValueError(f"feature subset {u} not contained in [0, {profile.d})")
+    u = feature_subset(u, profile.d)
     if not u:
         return np.arange(profile.n)
-    return np.flatnonzero(profile.indicators[:, u].all(axis=1))
+    return np.flatnonzero(~profile.dissimilar[:, u].any(axis=1))
 
 
 def refinement_path(
@@ -89,19 +102,42 @@ def refinement_path(
     Entry k of both arrays describes the cohort similar to the target on the
     first k features of ``ordering`` (a non-empty sequence of distinct
     features), for k = 0..len(ordering).  A row leaves the cohort at the
-    first position where it is dissimilar and never returns, so one argmin
+    first position where it is dissimilar and never returns, so one argmax
     per row finds its exit position and reverse cumulative counts over the
     exits give every prefix at once.  The sums are None without responses.
     """
-    S = profile.indicators[:, np.asarray(ordering, dtype=np.intp)]
-    k = S.shape[1]
-    first = S.argmin(axis=1)
-    exits = np.where(S[np.arange(len(S)), first], k, first)
+    D = profile.dissimilar[:, np.asarray(ordering, dtype=np.intp)]
+    k = D.shape[1]
+    first = D.argmax(axis=1)
+    exits = np.where(D[np.arange(len(D)), first], first, k)
     sizes = np.bincount(exits, minlength=k + 1)[::-1].cumsum()[::-1]
     if responses is None:
         return sizes, None
     sums = np.bincount(exits, weights=responses, minlength=k + 1)[::-1].cumsum()[::-1]
     return sizes, sums
+
+
+def superset_tables(profile: SimilarityProfile, *weights) -> list[np.ndarray]:
+    """One table over the 2^d subsets per row-weight vector: entry u sums
+    the weights of the rows similar to the target on every feature of u.
+
+    Rows are binned by their similar-feature bitmask [d] \\ J_i, then one
+    accumulation pass per bit over the 2^d entries turns the bins into
+    superset sums: O(n d + d 2^d) per table instead of O(4^d).
+    """
+    d = profile.d
+    if d > 30:
+        raise DimensionTooLarge(d, 30)
+    bits = np.int64(1) << np.arange(d, dtype=np.int64)
+    masks = ((1 << d) - 1) ^ (profile.dissimilar * bits).sum(axis=1)
+    tables = []
+    for w in weights:
+        acc = np.bincount(masks, weights=w, minlength=1 << d)
+        for b in range(d):
+            view = acc.reshape(-1, 2, 1 << b)
+            view[:, 0, :] += view[:, 1, :]
+        tables.append(acc)
+    return tables
 
 
 def check_unit_cube(z, d: int) -> np.ndarray:
@@ -122,5 +158,5 @@ def soft_similarity(profile: SimilarityProfile, z) -> np.ndarray:
     S_u indicators and the target always scores exactly 1.
     """
     z = check_unit_cube(z, profile.d)
-    factors = np.where(profile.indicators, 1.0, 1.0 - z[np.newaxis, :])
+    factors = np.where(profile.dissimilar, 1.0 - z[np.newaxis, :], 1.0)
     return factors.prod(axis=1)

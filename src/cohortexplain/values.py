@@ -16,29 +16,8 @@ from .errors import (
     SingularCovariance,
     TargetOutOfRange,
 )
-from .shapley import ValueFunction
-from .similarity import SimilarityProfile, refinement_path
-
-
-def _superset_sums(masks: np.ndarray, weights: np.ndarray, d: int) -> np.ndarray:
-    """out[u] = sum of weights over rows whose mask is a superset of u.
-
-    Standard subset-lattice transform: one accumulation pass per bit over an
-    array of 2^d entries, so the whole table costs O(d 2^d) instead of
-    O(4^d) from direct enumeration.
-    """
-    acc = np.zeros(1 << d)
-    np.add.at(acc, masks, weights)
-    for b in range(d):
-        view = acc.reshape(-1, 2, 1 << b)
-        view[:, 0, :] += view[:, 1, :]
-    return acc
-
-
-def _similar_masks(profile: SimilarityProfile) -> np.ndarray:
-    """Per-row bitmask of the similar features [d] \\ J_i (needs d <= 62)."""
-    bits = np.int64(1) << np.arange(profile.d, dtype=np.int64)
-    return (profile.indicators * bits).sum(axis=1)
+from .shapley import ValueFunction, depth_first_subsets
+from .similarity import SimilarityProfile, cohort, feature_subset, refinement_path, superset_tables
 
 
 class CohortValue(ValueFunction):
@@ -58,19 +37,10 @@ class CohortValue(ValueFunction):
         self.target_index = profile.target_index
 
     def evaluate(self, u: Sequence[int]) -> float:
-        u = list(u)
-        if not u:
-            return float(self.responses.mean())
-        members = self.profile.indicators[:, u].all(axis=1)
-        return float(self.responses[members].mean())
+        return float(self.responses[cohort(self.profile, u)].mean())
 
     def all_values(self) -> np.ndarray:
-        d = self.d
-        if d > 30:
-            raise DimensionTooLarge(d, 30)
-        masks = _similar_masks(self.profile)
-        counts = _superset_sums(masks, np.ones(self.profile.n), d)
-        sums = _superset_sums(masks, self.responses, d)
+        counts, sums = superset_tables(self.profile, np.ones(self.profile.n), self.responses)
         return sums / counts
 
     def permutation_increments(self, perm: np.ndarray) -> np.ndarray:
@@ -93,19 +63,10 @@ class UniquenessValue(ValueFunction):
         self.target_index = profile.target_index
 
     def evaluate(self, u: Sequence[int]) -> float:
-        u = list(u)
-        if not u:
-            size = self.profile.n
-        else:
-            size = int(self.profile.indicators[:, u].all(axis=1).sum())
-        return -math.log2(size)
+        return -math.log2(len(cohort(self.profile, u)))
 
     def all_values(self) -> np.ndarray:
-        d = self.d
-        if d > 30:
-            raise DimensionTooLarge(d, 30)
-        masks = _similar_masks(self.profile)
-        counts = _superset_sums(masks, np.ones(self.profile.n), d)
+        (counts,) = superset_tables(self.profile, np.ones(self.profile.n))
         return -np.log2(counts)
 
     def permutation_increments(self, perm: np.ndarray) -> np.ndarray:
@@ -183,7 +144,7 @@ class GkwValue(ValueFunction):
         ``path`` (from ``_path``) may already hold u without its largest
         feature, as in the lattice walk; then u costs one step.
         """
-        u = tuple(sorted(set(int(j) for j in u)))
+        u = tuple(feature_subset(u, self.d))
         if not u:
             return np.ones(len(self.responses))
         if path is None:
@@ -210,13 +171,7 @@ class GkwValue(ValueFunction):
         out = np.empty(1 << d)
         out[0] = self.responses.mean()
         path = self._path()
-
-        def visit(u: tuple[int, ...], mask: int) -> None:
-            for j in range(u[-1] + 1 if u else 0, d):
-                child = u + (j,)
-                w = self.weights(child, path)
-                out[mask | 1 << j] = (w @ self.responses) / w.sum()
-                visit(child, mask | 1 << j)
-
-        visit((), 0)
+        for mask, u in depth_first_subsets(d):
+            w = self.weights(u, path)
+            out[mask] = (w @ self.responses) / w.sum()
         return out

@@ -82,6 +82,20 @@ def test_attribute_cap_enforced(tmp_path, capsys):
     assert err["error"] == "DimensionTooLarge"
 
 
+def test_attribute_memory_bound_exit_code(tmp_path, capsys, monkeypatch):
+    from cohortexplain import shapley
+
+    rng = np.random.default_rng(0)
+    data = write_random_binary(tmp_path, rng, n=8, d=12)
+    monkeypatch.setattr(shapley, "physical_memory_bytes", lambda: 1 << 16)  # d=12 needs 192 KiB
+    out = tmp_path / "x.jsonl"
+    code = run("attribute", "--data", str(data), "--response", "y",
+               "--method", "cs-exact", "--targets", "0", "--out", str(out))
+    assert code == 4
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ComputationError" and "physical memory" in err["message"]
+
+
 def test_attribute_param_validation(tmp_path):
     data = write_d3(tmp_path)
     out = tmp_path / "x.jsonl"

@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohortexplain import (
+    ComputationError,
     DimensionTooLarge,
     ValueFunction,
     exact_shapley,
     exhaustive_permutation_shapley,
     mc_shapley,
 )
+from cohortexplain import shapley
 from cohortexplain.sampling import fisher_yates, rng_from
 
 from oracles import (
@@ -32,6 +34,29 @@ def test_d2_exact():
     np.testing.assert_allclose(attr.values, [1.5, 2.5])
     assert attr.nu_empty == 0.0 and attr.nu_full == 4.0
     assert abs(attr.efficiency_gap) < 1e-12
+
+
+def test_exact_refuses_tables_larger_than_memory(monkeypatch):
+    """The memory bound is checked before the 2^d lattice is asked for."""
+    d = 10
+    need = shapley.EXACT_TABLES * 8 << d
+    asked = []
+
+    class Lattice(ValueFunction):
+        def evaluate(self, u):
+            return float(len(u))
+
+        def all_values(self):
+            asked.append(self.d)
+            return ValueFunction.all_values(self)
+
+    monkeypatch.setattr(shapley, "physical_memory_bytes", lambda: need - 1)
+    with pytest.raises(ComputationError, match="d=10 needs about"):
+        exact_shapley(Lattice(d))
+    assert asked == []
+    monkeypatch.setattr(shapley, "physical_memory_bytes", lambda: need)
+    np.testing.assert_allclose(exact_shapley(Lattice(d)).values, np.ones(d))
+    assert asked == [d]
 
 
 def test_constant_vf_gives_zero():

@@ -29,6 +29,7 @@ from cohortexplain import (
     soft_similarity,
 )
 from cohortexplain.data import similarity_widths
+from cohortexplain.similarity import superset_tables
 
 from conftest import make_dataset, random_binary_profile
 from oracles import cohort_mean_brute, indicators_by_rule
@@ -48,6 +49,32 @@ def test_profile_compares_by_identity(d3_profile):
     assert (d3_profile == copy) is False and d3_profile != copy
     assert d3_profile == d3_profile
     assert len({d3_profile, copy}) == 2
+
+
+def test_profile_stores_one_read_only_dissimilarity_matrix(d3_dataset, d3_spec):
+    S = np.array([[1, 1], [1, 0], [0, 0]], dtype=bool)
+    profile = SimilarityProfile.from_indicators(S, 0)
+    D = profile.dissimilar
+    np.testing.assert_array_equal(D, ~S)
+    assert not D.flags.writeable and not profile.dissim_counts.flags.writeable
+    assert D.flags.c_contiguous
+    np.testing.assert_array_equal(profile.indicators, S)  # derived, not stored
+    built = build_profile(d3_dataset, d3_spec, 0)
+    assert not built.dissimilar.flags.writeable and built.dissimilar.flags.c_contiguous
+    np.testing.assert_array_equal(built.dissimilar, D)
+
+
+def test_superset_tables_match_brute_force():
+    rng = np.random.default_rng(12)
+    profile = random_binary_profile(rng, n=15, d=5, target=3)
+    w = rng.normal(size=15)
+    counts, sums = superset_tables(profile, np.ones(15), w)
+    S = profile.indicators
+    for mask in range(1 << 5):
+        u = [j for j in range(5) if (mask >> j) & 1]
+        members = [i for i in range(15) if S[i, u].all()]
+        assert counts[mask] == len(members)
+        assert abs(sums[mask] - w[members].sum()) < 1e-12
 
 
 def test_target_row_all_similar_for_any_rule():

@@ -19,7 +19,7 @@ from cohortexplain import (
     exhaustive_permutation_shapley,
 )
 
-from conftest import make_dataset, random_cohort_instance
+from conftest import make_dataset, random_binary_profile, random_cohort_instance
 from oracles import (
     cohort_mean_brute,
     gkw_evaluate_cholesky,
@@ -246,3 +246,20 @@ def test_gkw_constant_column_without_ridge_is_singular():
     for call in (lambda: gv.weights((1,)), lambda: gv.evaluate((0, 1, 2)), lambda: exact_shapley(gv)):
         with pytest.raises(SingularCovariance):
             call()
+
+
+@pytest.mark.parametrize("make", [
+    lambda ds, profile: CohortValue(profile, ds.responses),
+    lambda ds, profile: UniquenessValue(profile),
+    lambda ds, profile: GkwValue(ds, 0),
+], ids=["cohort", "uniqueness", "gkw"])
+@pytest.mark.parametrize("feature", [-1, 3])
+def test_evaluate_rejects_features_outside_range(make, feature):
+    """A negative index must not wrap around to feature d-1."""
+    rng = np.random.default_rng(4)
+    ds = make_dataset(rng.normal(size=(12, 3)), rng.normal(size=12))
+    vf = make(ds, random_binary_profile(rng, n=12, d=3))
+    with pytest.raises(ValueError, match=r"not contained in \[0, 3\)"):
+        vf.evaluate([feature])
+    with pytest.raises(ValueError):
+        vf.evaluate([0, feature])
