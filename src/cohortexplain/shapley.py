@@ -23,6 +23,8 @@ from .sampling import fisher_yates, rng_from
 
 DEFAULT_DIMENSION_CAP = 25
 EXHAUSTIVE_PERMUTATION_CAP = 8
+#: Largest d for which any 2^d-entry subset table is built.
+LATTICE_DIMENSION_CAP = 30
 #: 2^d-entry float64 tables the exact engine budgets for.  Three are live at
 #: its peak (the value table with the superset tables or the popcounts and
 #: weights); the rest is headroom for the memory others hold.
@@ -53,8 +55,7 @@ class ValueFunction(ABC):
     def all_values(self) -> np.ndarray:
         """nu at every subset, indexed by bitmask (bit j set means j in u)."""
         d = self.d
-        if d > 30:
-            raise DimensionTooLarge(d, 30)
+        check_lattice("the subset table", d, 1)
         out = np.empty(1 << d)
         for mask in range(1 << d):
             out[mask] = self.evaluate(_mask_to_subset(mask, d))
@@ -143,6 +144,21 @@ def physical_memory_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def check_lattice(what: str, d: int, tables: int) -> None:
+    """Refuse, before anything is allocated, ``tables`` float64 tables over
+    the 2^d subsets when d exceeds ``LATTICE_DIMENSION_CAP``
+    (``DimensionTooLarge``) or the tables exceed physical memory
+    (``ComputationError``)."""
+    if d > LATTICE_DIMENSION_CAP:
+        raise DimensionTooLarge(d, LATTICE_DIMENSION_CAP)
+    need, have = tables * 8 << d, physical_memory_bytes()
+    if need > have:
+        raise ComputationError(
+            f"{what} at d={d} needs about {need / 2**30:.1f} GiB for its 2^d tables; "
+            f"physical memory is {have / 2**30:.1f} GiB"
+        )
+
+
 def exact_shapley(nu: ValueFunction, cap: int = DEFAULT_DIMENSION_CAP) -> Attribution:
     """Exact Shapley values phi_j = (1/d) sum_u C(d-1,|u|)^-1 (nu(u+j) - nu(u)).
 
@@ -155,12 +171,7 @@ def exact_shapley(nu: ValueFunction, cap: int = DEFAULT_DIMENSION_CAP) -> Attrib
     d = nu.d
     if d > cap:
         raise DimensionTooLarge(d, cap)
-    need, have = EXACT_TABLES * 8 << d, physical_memory_bytes()
-    if need > have:
-        raise ComputationError(
-            f"exact Shapley at d={d} needs about {need / 2**30:.1f} GiB for its 2^d tables; "
-            f"physical memory is {have / 2**30:.1f} GiB"
-        )
+    check_lattice("exact Shapley", d, EXACT_TABLES)
     vals = np.asarray(nu.all_values(), dtype=float)
     # W[u] = 1 / (d * C(d-1, |u|)); the full set (|u| = d) never lacks a feature, so its 0 is unused
     weights = np.array([1.0 / (d * math.comb(d - 1, s)) for s in range(d)] + [0.0])

@@ -11,12 +11,14 @@ path, soft weight and subset-lattice table is computed from them, here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .data import Dataset, SimilaritySpec, similarity_widths
-from .errors import DimensionTooLarge, TargetOutOfRange, ZOutOfRange
+from .errors import TargetOutOfRange, ZOutOfRange
+from .shapley import check_lattice
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,7 +29,11 @@ class SimilarityProfile:
     not similar to the target on feature j; ``dissim_counts[i]`` is |J_i|.
     The profile keeps a read-only view of the matrix it is given.  The
     target row is all-similar, so J_t is empty.  ``indicators`` is the
-    derived similarity matrix ~D.  Profiles compare and hash by identity.
+    derived similarity matrix ~D.  ``sparse_rows`` lists the members of
+    each non-empty J_i, built from D on first use (O(nd) once, index arrays
+    of nnz(D) entries) for the refinement kernel; engines that never walk
+    an ordering, like IGCS, never build it.  Profiles compare and hash by
+    identity.
     """
 
     target_index: int
@@ -57,6 +63,19 @@ class SimilarityProfile:
     def indicators(self) -> np.ndarray:
         """S = ~D: True when observation i is similar to the target on feature j."""
         return ~self.dissimilar
+
+    @cached_property
+    def sparse_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, starts, cols): the rows with non-empty J_i, where each
+        one's features begin in ``cols``, and the features of every J_i in
+        ascending order, row after row (the CSR form of D without its empty
+        rows)."""
+        cols = np.flatnonzero(self.dissimilar) % self.d
+        rows = np.flatnonzero(self.dissim_counts)
+        starts = (np.cumsum(self.dissim_counts) - self.dissim_counts)[rows]
+        for arr in (rows, starts, cols):
+            arr.setflags(write=False)
+        return rows, starts, cols
 
     @classmethod
     def from_indicators(cls, indicators: np.ndarray, target_index: int) -> "SimilarityProfile":
@@ -101,15 +120,21 @@ def refinement_path(
 
     Entry k of both arrays describes the cohort similar to the target on the
     first k features of ``ordering`` (a non-empty sequence of distinct
-    features), for k = 0..len(ordering).  A row leaves the cohort at the
-    first position where it is dissimilar and never returns, so one argmax
-    per row finds its exit position and reverse cumulative counts over the
+    features, possibly fewer than d), for k = 0..len(ordering).  A row
+    leaves the cohort at the first position where it is dissimilar and
+    never returns, so its exit is the smallest rank among the features of
+    J_i (len(ordering) when none of them is ranked): one gather of the ranks
+    over the profile's ``sparse_rows`` and one ``np.minimum.reduceat``,
+    O(nnz(D) + n + d) per ordering.  Reverse cumulative counts over the
     exits give every prefix at once.  The sums are None without responses.
     """
-    D = profile.dissimilar[:, np.asarray(ordering, dtype=np.intp)]
-    k = D.shape[1]
-    first = D.argmax(axis=1)
-    exits = np.where(D[np.arange(len(D)), first], first, k)
+    ordering = np.asarray(ordering, dtype=np.intp)
+    k = len(ordering)
+    rows, starts, cols = profile.sparse_rows
+    rank = np.full(profile.d, k, dtype=np.intp)
+    rank[ordering] = np.arange(k)
+    exits = np.full(profile.n, k, dtype=np.intp)
+    exits[rows] = np.minimum.reduceat(rank[cols], starts)
     sizes = np.bincount(exits, minlength=k + 1)[::-1].cumsum()[::-1]
     if responses is None:
         return sizes, None
@@ -123,11 +148,12 @@ def superset_tables(profile: SimilarityProfile, *weights) -> list[np.ndarray]:
 
     Rows are binned by their similar-feature bitmask [d] \\ J_i, then one
     accumulation pass per bit over the 2^d entries turns the bins into
-    superset sums: O(n d + d 2^d) per table instead of O(4^d).
+    superset sums: O(n d + d 2^d) per table instead of O(4^d).  The tables,
+    and the one a caller derives from them, are checked against physical
+    memory before the first is allocated.
     """
     d = profile.d
-    if d > 30:
-        raise DimensionTooLarge(d, 30)
+    check_lattice("superset tables", d, len(weights) + 1)
     bits = np.int64(1) << np.arange(d, dtype=np.int64)
     masks = ((1 << d) - 1) ^ (profile.dissimilar * bits).sum(axis=1)
     tables = []

@@ -12,11 +12,10 @@ from .data import ColumnKind, Dataset
 from .errors import (
     CategoricalFeatureUnsupported,
     ConfigError,
-    DimensionTooLarge,
     SingularCovariance,
     TargetOutOfRange,
 )
-from .shapley import ValueFunction, depth_first_subsets
+from .shapley import ValueFunction, check_lattice, depth_first_subsets
 from .similarity import SimilarityProfile, cohort, feature_subset, refinement_path, superset_tables
 
 
@@ -166,8 +165,7 @@ class GkwValue(ValueFunction):
         """The 2^d lattice depth-first: each child of u adds a feature above
         max(u), so every subset costs one step and none is factorized anew."""
         d = self.d
-        if d > 30:
-            raise DimensionTooLarge(d, 30)
+        check_lattice("the GKW subset table", d, 1)
         out = np.empty(1 << d)
         out[0] = self.responses.mean()
         path = self._path()

@@ -51,6 +51,22 @@ def cohort_mean_brute(indicators, responses, u):
     return float(np.mean([responses[i] for i in members]))
 
 
+def refinement_path_dense(profile, ordering, responses=None):
+    """Cohort sizes and response sums along every prefix of an ordering from
+    a dense copy of the ordered dissimilarity columns and one argmax per row
+    for its exit position; the reference summation order of the refinement
+    kernel."""
+    D = profile.dissimilar[:, np.asarray(ordering, dtype=np.intp)]
+    k = D.shape[1]
+    first = D.argmax(axis=1)
+    exits = np.where(D[np.arange(len(D)), first], first, k)
+    sizes = np.bincount(exits, minlength=k + 1)[::-1].cumsum()[::-1]
+    if responses is None:
+        return sizes, None
+    sums = np.bincount(exits, weights=responses, minlength=k + 1)[::-1].cumsum()[::-1]
+    return sizes, sums
+
+
 def soft_value_brute(indicators, responses, z):
     """Direct evaluation of the weighted-mean extension at one point."""
     num = 0.0

@@ -6,7 +6,7 @@ import threading
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cohortexplain import (
@@ -29,10 +29,10 @@ from cohortexplain import (
     soft_similarity,
 )
 from cohortexplain.data import similarity_widths
-from cohortexplain.similarity import superset_tables
+from cohortexplain.similarity import refinement_path, superset_tables
 
 from conftest import make_dataset, random_binary_profile
-from oracles import cohort_mean_brute, indicators_by_rule
+from oracles import cohort_mean_brute, indicators_by_rule, refinement_path_dense
 
 
 def test_d3_profile(d3_dataset, d3_spec):
@@ -251,21 +251,81 @@ def test_refinement_matches_oracles_wide():
 
 @st.composite
 def refinement_cases(draw):
+    """A profile with all-dissimilar rows (but the target), all-similar rows
+    (empty J_i) and a C-order, column-major or strided indicator matrix,
+    responses, and an ordering of all d features or of a prefix of them."""
     n = draw(st.integers(1, 40))
     d = draw(st.integers(1, 70))
-    S = draw(hnp.arrays(bool, (n, d)))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "C":
+        S = draw(hnp.arrays(bool, (n, d)))
+    elif layout == "F":
+        S = draw(hnp.arrays(bool, (d, n))).T
+    else:
+        S = draw(hnp.arrays(bool, (n, 2 * d)))[:, ::2]
     target = draw(st.integers(0, n - 1))
+    S[draw(st.lists(st.integers(0, n - 1), max_size=n))] = False
     # the target plus any drawn rows are all-similar, i.e. duplicates of it
     S[[target, *draw(st.lists(st.integers(0, n - 1), max_size=n))]] = True
     responses = draw(hnp.arrays(float, n, elements=st.floats(-1.0, 1.0)))
     ordering = draw(st.permutations(range(d)))
-    return SimilarityProfile.from_indicators(S, target), responses, ordering
+    k = draw(st.one_of(st.just(d), st.integers(1, d)))
+    return SimilarityProfile.from_indicators(S, target), responses, ordering[:k]
+
+
+def _all_dissimilar_case():
+    """Rows 1 and 3 dissimilar on every feature, row 2 on none, S column-major."""
+    S = np.zeros((4, 6), dtype=bool)
+    S[[0, 2]] = True
+    profile = SimilarityProfile.from_indicators(np.asfortranarray(S), 0)
+    return profile, np.array([0.25, -1.0, 0.75, 1.0]), [5, 1, 4]
+
+
+ONE_ROW = (SimilarityProfile.from_indicators(np.ones((1, 3), bool), 0), np.array([0.5]), [2, 0])
 
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(refinement_cases())
 def test_refinement_property(case):
-    check_refinement_against_oracles(*case)
+    profile, responses, ordering = case
+    if len(ordering) == profile.d:
+        check_refinement_against_oracles(profile, responses, ordering)
+    sizes, sums = refinement_path(profile, ordering, responses)
+    for k in range(len(ordering) + 1):
+        members = cohort(profile, ordering[:k])
+        assert sizes[k] == len(members)
+        assert abs(sums[k] - responses[members].sum()) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(refinement_cases())
+@example(ONE_ROW)
+@example(_all_dissimilar_case())
+def test_refinement_path_matches_dense_oracle_bitwise(case):
+    """The first exits from the sparse rows put every row in the same bin
+    as the dense argmax, so both bincounts add the same numbers in the
+    same order: sizes and sums agree to the last bit."""
+    profile, responses, ordering = case
+    for weights in (None, responses):
+        sizes, sums = refinement_path(profile, ordering, weights)
+        want_sizes, want_sums = refinement_path_dense(profile, ordering, weights)
+        assert sizes.dtype == want_sizes.dtype and sizes.tobytes() == want_sizes.tobytes()
+        if weights is None:
+            assert sums is None and want_sums is None
+        else:
+            assert sums.dtype == want_sums.dtype and sums.tobytes() == want_sums.tobytes()
+
+
+def test_sparse_rows_list_each_dissimilarity_set():
+    S = np.array([[1, 1, 1, 1], [0, 1, 0, 1], [1, 1, 1, 1], [0, 0, 0, 0], [1, 1, 1, 0]], dtype=bool)
+    profile = SimilarityProfile.from_indicators(np.asfortranarray(S), 0)
+    assert "sparse_rows" not in vars(profile)  # built on first use only
+    rows, starts, cols = profile.sparse_rows
+    np.testing.assert_array_equal(rows, [1, 3, 4])
+    np.testing.assert_array_equal(starts, [0, 2, 6])
+    np.testing.assert_array_equal(cols, [0, 2, 0, 1, 2, 3, 3])
+    assert profile.sparse_rows is profile.sparse_rows
+    assert not any(arr.flags.writeable for arr in (rows, starts, cols))
 
 
 def test_cohort(d3_profile):

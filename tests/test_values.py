@@ -1,15 +1,17 @@
 import math
+import tracemalloc
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, note, settings
 from hypothesis import strategies as st
 
 from cohortexplain import (
     CategoricalFeatureUnsupported,
     CohortValue,
     ColumnKind,
+    ComputationError,
     GkwValue,
     SimilarityProfile,
     SingularCovariance,
@@ -18,6 +20,8 @@ from cohortexplain import (
     exact_shapley,
     exhaustive_permutation_shapley,
 )
+from cohortexplain import shapley
+from cohortexplain.similarity import superset_tables
 
 from conftest import make_dataset, random_binary_profile, random_cohort_instance
 from oracles import (
@@ -196,6 +200,18 @@ def _lattice(d):
     return [tuple(j for j in range(d) if (mask >> j) & 1) for mask in range(1 << d)]
 
 
+def gkw_value(d, ridge, distinct, n, scales, seed, sigma, target):
+    """Seeded Gaussian rows: ``distinct`` base rows repeated up to n rows,
+    shifted and scaled per column."""
+    scales = np.asarray(scales)
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(distinct, d))
+    rows = rng.permutation(np.concatenate([np.arange(distinct), rng.integers(0, distinct, n - distinct)]))
+    X = (base[rows] + rng.normal(size=d)) * scales
+    ds = make_dataset(X, rng.normal(size=n))
+    return GkwValue(ds, target_index=target, sigma=sigma, ridge=ridge)
+
+
 @st.composite
 def gkw_cases(draw):
     """Seeded Gaussian rows with duplicates and per-column scales 1e-3..1e3.
@@ -206,32 +222,44 @@ def gkw_cases(draw):
     ridge = draw(st.sampled_from([0.0, 1e-6]))
     distinct = draw(st.integers(d + 2 if ridge == 0 else 2, 40))
     n = draw(st.integers(distinct, 40))
-    scales = np.array(draw(st.lists(st.sampled_from([1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3]),
-                                    min_size=d, max_size=d)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    base = rng.normal(size=(distinct, d))
-    rows = rng.permutation(np.concatenate([np.arange(distinct), rng.integers(0, distinct, n - distinct)]))
-    X = (base[rows] + rng.normal(size=d)) * scales
-    ds = make_dataset(X, rng.normal(size=n))
+    scales = draw(st.lists(st.sampled_from([1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3]), min_size=d, max_size=d))
+    seed = draw(st.integers(0, 2**32 - 1))
     sigma = draw(st.sampled_from([0.1, 1.0]))
-    return GkwValue(ds, target_index=draw(st.integers(0, n - 1)), sigma=sigma, ridge=ridge)
+    target = draw(st.integers(0, n - 1))
+    note(f"gkw_value{(d, ridge, distinct, n, scales, seed, sigma, target)}")
+    return gkw_value(d, ridge, distinct, n, scales, seed, sigma, target)
+
+
+def cholesky_forward_error(gv, u) -> float:
+    """Relative rounding bound c * eps * kappa(Sigma_uu), c = 4, for two
+    Cholesky factorizations of Sigma_uu taken in different orders, floored
+    at 1e-12: the floor holds wherever kappa <= 1e3."""
+    if not u:
+        return 1e-12
+    kappa = np.linalg.cond(gv._cov[np.ix_(u, u)])
+    return max(1e-12, 4 * np.finfo(float).eps * kappa)
 
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(gkw_cases())
+# ridged, rank-deficient Sigma (4 rows, d=7): kappa(Sigma_{0,4,5}) = 1.1e6, and
+# the walk and a fresh factor round 2.4e-10 apart in relative terms there
+@example(gkw_value(7, 1e-06, 4, 4, [0.001] * 7, 4, 1.0, 0))
 def test_gkw_walk_matches_cholesky_oracle(gv):
     """The depth-first lattice, weights(u) and evaluate(u) against a fresh
-    scipy factor and solve per subset.  Weights lie in [0, 1] with the
-    target's exactly 1.0, so they are compared to 1e-12 of that scale;
-    nu to 1e-12 relative (of max |y| where nu nears 0)."""
+    scipy factor and solve per subset, to the forward-error bound tol(u) of
+    Sigma_uu.  Weights lie in [0, 1] with the target's exactly 1.0, so they
+    are compared to tol(u) of that scale; nu to tol(u) relative (of max |y|
+    where nu nears 0)."""
     d, t = gv.d, gv.target_index
     table = gv.all_values()
-    ref = np.array([gkw_evaluate_cholesky(gv, u) for u in _lattice(d)])
-    np.testing.assert_allclose(table, ref, rtol=1e-12, atol=1e-12 * np.abs(gv.responses).max())
+    scale = np.abs(gv.responses).max()
     for mask, u in enumerate(_lattice(d)):
+        tol = cholesky_forward_error(gv, u)
+        np.testing.assert_allclose(table[mask], gkw_evaluate_cholesky(gv, u), rtol=tol, atol=tol * scale)
         w = gv.weights(u)
         assert w[t] == 1.0
-        np.testing.assert_allclose(w, gkw_weights_cholesky(gv, u), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(w, gkw_weights_cholesky(gv, u), rtol=0, atol=tol)
         assert gv.evaluate(u) == table[mask]  # one walk behind both
 
 
@@ -263,3 +291,31 @@ def test_evaluate_rejects_features_outside_range(make, feature):
         vf.evaluate([feature])
     with pytest.raises(ValueError):
         vf.evaluate([0, feature])
+
+
+def test_lattice_tables_refuse_more_than_memory(monkeypatch):
+    """Direct all_values and superset_tables calls check the 2^d tables
+    against physical memory before allocating the first of them."""
+    d = 20  # 8 MiB per table
+    rng = np.random.default_rng(13)
+    ds = make_dataset(rng.normal(size=(30, d)), rng.normal(size=30))
+    profile = random_binary_profile(rng, n=30, d=d, target=2)
+    calls = [
+        lambda: CohortValue(profile, ds.responses).all_values(),
+        lambda: UniquenessValue(profile).all_values(),
+        lambda: superset_tables(profile, np.ones(30)),
+        lambda: GkwValue(ds, 2).all_values(),
+        lambda: shapley.ValueFunction.all_values(UniquenessValue(profile)),
+    ]
+    monkeypatch.setattr(shapley, "physical_memory_bytes", lambda: (8 << d) - 1)
+    for call in calls:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ComputationError, match=r"d=20 needs about .* physical memory is"):
+                call()
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+    monkeypatch.setattr(shapley, "physical_memory_bytes", lambda: 3 * 8 << 10)
+    small = random_binary_profile(rng, n=30, d=10, target=2)
+    assert CohortValue(small, ds.responses).all_values().shape == (1 << 10,)
