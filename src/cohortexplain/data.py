@@ -4,12 +4,22 @@ The only input format is CSV with a header row, UTF-8, comma delimiter and
 '.' decimal point.  A column is inferred Numeric when every entry parses as
 a finite real; otherwise it is Categorical, coded by distinct strings in
 first-appearance order.  Empty cells are missing values and a load error.
+
+The reference loader is ``csv.reader`` plus ``float()`` (``_read_rows`` and
+``_parse_table``).  A plain numeric file, whose data rows hold only the bytes
+``0123456789.eE+-,`` and ``\\n`` and no blank line, is instead parsed in one
+``np.loadtxt`` call (``_read_plain``): on those bytes a cell is what a split
+on ',' and '\\n' gives, and both parsers read it with ``PyOS_string_to_double``,
+so the table is the same to the bit.  Any file the fast path does not take,
+or would read differently, goes to the reference loader, which raises every
+documented error.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+import io
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -233,6 +243,29 @@ def _read_rows(path) -> tuple[list[str], list[list[str]]]:
     return header, data
 
 
+_PLAIN_BYTES = b"0123456789.eE+-,\n"
+
+
+def _read_plain(path) -> Optional[tuple[list[str], np.ndarray]]:
+    """The header and the table of a plain numeric CSV, or None when the file
+    is not one: a header without '"' or '\\r', in UTF-8, of distinct names;
+    a non-empty body of ``_PLAIN_BYTES`` with no blank line; and a table of
+    finite reals as wide as the header."""
+    with open(path, "rb") as fh:
+        head, _, body = fh.read().partition(b"\n")
+    if (not head or b'"' in head or b"\r" in head or not body or body.startswith(b"\n")
+            or b"\n\n" in body or body.translate(None, _PLAIN_BYTES)):
+        return None
+    try:
+        header = head.decode("utf-8").split(",")
+        table = np.loadtxt(io.BytesIO(body), delimiter=",", comments=None, ndmin=2, dtype=float)
+    except ValueError:  # UnicodeDecodeError included
+        return None
+    if len(set(header)) != len(header) or table.shape[1] != len(header) or not np.isfinite(table).all():
+        return None
+    return header, table
+
+
 def load_dataset(
     path,
     response_column: str,
@@ -247,9 +280,19 @@ def load_dataset(
     from the feature matrix; feature column order is preserved.
     ``schema_overrides`` maps column names to a ColumnKind and wins over
     type inference.
+
+    Without a categorical override, a plain numeric file is read by the fast
+    path (see the module docstring); every other file, and every file the
+    fast path declines, by the reference loader, with the same result.
     """
-    header, data = _read_rows(path)
     overrides = dict(schema_overrides or {})
+    plain = None if ColumnKind.CATEGORICAL in overrides.values() else _read_plain(path)
+    if plain is None:
+        header, data = _read_rows(path)
+        table = _parse_table(data, len(header))
+    else:
+        # All finite and no column forced categorical: nothing reads ``data``.
+        header, table = plain
     for name in overrides:
         if name not in header:
             raise MissingColumn(name)
@@ -263,7 +306,6 @@ def load_dataset(
         if overrides.get(name) is ColumnKind.CATEGORICAL:
             raise ConfigError(f"response or prediction column {name!r} cannot be categorical")
 
-    table = _parse_table(data, len(header))
     finite = np.isfinite(table).all(axis=0)
     index = {name: i for i, name in enumerate(header)}
 

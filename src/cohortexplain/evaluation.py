@@ -46,14 +46,16 @@ def conditional_curves(cv: CohortValue, ordering) -> tuple[np.ndarray, np.ndarra
     Deletion removes the top-ranked constraints first, i.e. entry k
     conditions on the d-k least important variables.  Both curves are cohort
     sums over cohort sizes along the refinement path, and the deletion curve
-    is the reversed insertion curve of the reversed ordering.
+    is the reversed insertion curve of the reversed ordering; one refinement
+    call gives both paths.
     """
     ordering = np.asarray(ordering, dtype=int)
     d = cv.d
     if sorted(ordering.tolist()) != list(range(d)):
         raise ValueError(f"ordering must be a permutation of range({d})")
-    sizes, sums = refinement_path(cv.profile, ordering, cv.responses)
-    back_sizes, back_sums = refinement_path(cv.profile, ordering[::-1], cv.responses)
+    (sizes, sums), (back_sizes, back_sums) = refinement_path(
+        cv.profile, ordering, cv.responses, with_reversed=True
+    )
     return sums / sizes, (back_sums / back_sizes)[::-1]
 
 

@@ -113,9 +113,7 @@ def cohort(profile: SimilarityProfile, u) -> np.ndarray:
     return np.flatnonzero(~profile.dissimilar[:, u].any(axis=1))
 
 
-def refinement_path(
-    profile: SimilarityProfile, ordering, responses=None
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
+def refinement_path(profile: SimilarityProfile, ordering, responses=None, *, with_reversed: bool = False):
     """Cohort size and response sum after each prefix of an ordering.
 
     Entry k of both arrays describes the cohort similar to the target on the
@@ -127,14 +125,32 @@ def refinement_path(
     over the profile's ``sparse_rows`` and one ``np.minimum.reduceat``,
     O(nnz(D) + n + d) per ordering.  Reverse cumulative counts over the
     exits give every prefix at once.  The sums are None without responses.
+
+    ``with_reversed`` (for an ordering of all d features) returns a pair of
+    (sizes, sums): this path and that of the reversed ordering, from the
+    same gather.  A row's exit there is d - 1 minus its largest rank
+    (``np.maximum.reduceat``), d when J_i is empty.
     """
     ordering = np.asarray(ordering, dtype=np.intp)
     k = len(ordering)
+    if with_reversed and k != profile.d:
+        raise ValueError(f"a reversed path needs an ordering of all {profile.d} features, got {k}")
     rows, starts, cols = profile.sparse_rows
     rank = np.full(profile.d, k, dtype=np.intp)
     rank[ordering] = np.arange(k)
+    ranks = rank[cols]
     exits = np.full(profile.n, k, dtype=np.intp)
-    exits[rows] = np.minimum.reduceat(rank[cols], starts)
+    exits[rows] = np.minimum.reduceat(ranks, starts)
+    path = _prefix_totals(exits, k, responses)
+    if not with_reversed:
+        return path
+    exits = np.full(profile.n, k, dtype=np.intp)
+    exits[rows] = k - 1 - np.maximum.reduceat(ranks, starts)
+    return path, _prefix_totals(exits, k, responses)
+
+
+def _prefix_totals(exits, k: int, responses) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Cohort sizes and response sums before each of the k + 1 exit positions."""
     sizes = np.bincount(exits, minlength=k + 1)[::-1].cumsum()[::-1]
     if responses is None:
         return sizes, None

@@ -90,6 +90,12 @@ class GkwValue(ValueFunction):
     Cholesky row at a time (``_extend``): with Sigma_uu = L L^T, the path
     keeps the rows of [M | W] = L^-1 [Sigma[u, :] | (x_u - x_tu)^T], and
     the quadratic form grows by the square of each new row of W.
+
+    With ``ridge=0`` on a rank-deficient covariance (at most d distinct
+    rows) a pivot that is 0 in exact arithmetic comes out as rounding noise
+    of either sign, so whether a subset raises ``SingularCovariance`` or
+    gets finite, noise-driven weights is decided by rounding.  The CLI
+    always passes the default ridge.
     """
 
     def __init__(self, ds: Dataset, target_index: int, sigma: float = 0.1, ridge: float = 1e-6):

@@ -1,5 +1,8 @@
-import csv
 import dataclasses
+import importlib.util
+import pathlib
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,10 +31,12 @@ from cohortexplain import (
     make_similarity_spec,
     save_dataset,
 )
+from cohortexplain import data
+from cohortexplain.cli import main
 from cohortexplain.data import parse_rule, parse_similarity_config
 
 from conftest import make_dataset
-from oracles import first_non_real, infer_column
+from oracles import finite_real, first_non_real, infer_column
 
 
 def write(path, text):
@@ -165,32 +170,80 @@ def csv_tables(draw):
     return columns, draw(st.sets(st.integers(0, d - 1)))
 
 
-@settings(max_examples=300, deadline=None)
-@given(table=csv_tables())
-def test_loader_matches_per_cell_oracle(tmp_path_factory, table):
-    columns, forced = table
+def csv_line(cells):
+    """One CSV row, quoting a cell only when it holds ',', '"', '\\r' or '\\n'
+    (csv.writer leaves '\\r' bare unless it is in its line terminator)."""
+    return ",".join(
+        '"' + cell.replace('"', '""') + '"' if any(ch in cell for ch in ',"\r\n') else cell
+        for cell in cells
+    )
+
+
+def write_columns(path, columns, terminator):
+    """Feature columns then the response column ``y``, one row per line."""
+    names = [f"c{j}" for j in range(len(columns) - 1)] + ["y"]
+    text = "".join(csv_line(row) + terminator for row in [names, *zip(*columns)])
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+def load_traced(path, **kwargs):
+    """load_dataset's dataset or load error, and whether the fast path read
+    the file (the reference loader's ``_read_rows`` never ran)."""
+    with mock.patch.object(data, "_read_rows", wraps=data._read_rows) as spy:
+        try:
+            result = load_dataset(path, "y", **kwargs)
+        except (DataError, ConfigError, OSError) as exc:
+            result = exc
+    return result, not spy.called
+
+
+def load_reference(path, **kwargs):
+    """What the reference loader alone gives for the file."""
+    with mock.patch.object(data, "_read_plain", return_value=None):
+        return load_traced(path, **kwargs)[0]
+
+
+def assert_same_load(got, want):
+    """Equal datasets to the bit (-0.0 included, row-major), or errors of
+    the same type and message."""
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert isinstance(got, Dataset), got
+    assert got.features.flags.c_contiguous and want.features.flags.c_contiguous
+    assert got.features.tobytes() == want.features.tobytes()
+    assert got.responses.tobytes() == want.responses.tobytes()
+    assert (got.column_names, got.kinds, got.categories, got.response_name) == (
+        want.column_names, want.kinds, want.categories, want.response_name)
+
+
+def check_against_oracle(path, columns, forced):
+    """load_dataset of a written table against the per-cell oracle; returns
+    whether the fast path read the file."""
     *features, y = columns
     names = [f"c{j}" for j in range(len(features))]
-    path = tmp_path_factory.mktemp("csv") / "t.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)  # "\r\n" rows, so that cells holding "\r" or "\n" are quoted
-        writer.writerow(names + ["y"])
-        writer.writerows(zip(*columns))
     overrides = {names[j]: ColumnKind.NUMERIC for j in forced}
+    result, fast = load_traced(path, schema_overrides=overrides)
 
+    empty = next(((r, c) for r, row in enumerate(zip(*columns)) for c, cell in enumerate(row) if cell == ""), None)
     bad_y = first_non_real(y)
     bad_forced = [(names[j], first_non_real(features[j])) for j in sorted(forced)]
     bad_forced = [(name, row) for name, row in bad_forced if row is not None]
+    if empty is not None:
+        assert type(result) is MissingValue
+        assert (result.row, result.column) == (empty[0], (names + ["y"])[empty[1]])
+        return fast
     if bad_y is not None or bad_forced:
         error, (column, row) = (
             (NonNumericResponse, ("y", bad_y)) if bad_y is not None else (NonNumericValue, bad_forced[0])
         )
-        with pytest.raises(error) as info:
-            load_dataset(path, "y", schema_overrides=overrides)
-        assert (info.value.column, info.value.row) == (column, row)
-        return
+        assert type(result) is error
+        assert (result.column, result.row) == (column, row)
+        return fast
 
-    ds = load_dataset(path, "y", schema_overrides=overrides)
+    ds = result
+    assert isinstance(ds, Dataset), ds
     # Row-major like the table: BLAS reductions over the features (GKW) round
     # differently on another layout.
     assert ds.features.flags.c_contiguous
@@ -201,6 +254,121 @@ def test_loader_matches_per_cell_oracle(tmp_path_factory, table):
         assert ds.kinds[j].value == kind
         assert ds.categories[j] == categories
         assert ds.features[:, j].tobytes() == column.tobytes()
+    return fast
+
+
+PLAIN_BYTES = set("0123456789.eE+-,\n")
+
+
+def plain_real(cell):
+    """Whether the fast path takes this cell: plain bytes and a finite real."""
+    return set(cell) <= PLAIN_BYTES and finite_real(cell) is not None
+
+
+@pytest.mark.parametrize("terminator", ["\r\n", "\n"], ids=["crlf", "lf"])
+@settings(max_examples=300, deadline=None)
+@given(table=csv_tables())
+def test_loader_matches_per_cell_oracle(tmp_path_factory, terminator, table):
+    columns, forced = table
+    path = write_columns(tmp_path_factory.mktemp("csv") / "t.csv", columns, terminator)
+    fast = check_against_oracle(path, columns, forced)
+    assert fast == (terminator == "\n" and all(plain_real(cell) for cells in columns for cell in cells))
+
+
+# Cells of the fast path's bytes: tokens float() accepts as finite reals,
+# and tokens it rejects or reads as infinite, or that are missing.
+PLAIN_REALS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**9, 10**9).map(str),
+    st.sampled_from(["-0", "-0.0", "+0", "00", "1.", ".5", "+7", "1E+05", "1e-400", "-5e-324",
+                     "1e308", "9" * 300, "0" * 399 + "1", "0." + "1" * 400]),
+)
+PLAIN_REJECTED = st.sampled_from(["1e", "e5", ".", "+-1", "", "1e400", "-1e400", "-", "1-2", "1..2",
+                                  "1e5e5", "1.2.3", "9" * 400])
+
+
+@st.composite
+def plain_tables(draw):
+    """Columns of plain cells (the last one is the response) and a set of
+    feature columns forced numeric.  Half the tables hold only finite reals
+    and must take the fast path; the other half hold one to three rejected
+    cells among them and must fall back."""
+    n = draw(st.integers(1, 8))
+    d = draw(st.integers(1, 4))
+    columns = [draw(st.lists(PLAIN_REALS, min_size=n, max_size=n)) for _ in range(d + 1)]
+    rejected = draw(st.booleans())
+    for _ in range(draw(st.integers(1, 3)) if rejected else 0):
+        columns[draw(st.integers(0, d))][draw(st.integers(0, n - 1))] = draw(PLAIN_REJECTED)
+    return columns, draw(st.sets(st.integers(0, d - 1))), rejected
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=plain_tables())
+def test_plain_loader_matches_per_cell_oracle(tmp_path_factory, table):
+    columns, forced, rejected = table
+    assert all(plain_real(cell) for cells in columns for cell in cells) != rejected
+    path = write_columns(tmp_path_factory.mktemp("csv") / "t.csv", columns, "\n")
+    assert check_against_oracle(path, columns, forced) != rejected
+
+
+CATEGORICAL_X = {"x": ColumnKind.CATEGORICAL}
+
+
+@pytest.mark.parametrize("content, kwargs, fast, want", [
+    (b"a,y\n1,2\n\n3,4\n", {}, False, DataError),
+    (b"a,y\n\n1,2\n", {}, False, DataError),
+    (b"\na,y\n1,2\n", {}, False, DataError),
+    (b"a,y\n", {}, False, EmptyDataset),
+    (b"a,y", {}, False, EmptyDataset),
+    (b"a,b,y\n1,2\n3,4\n", {}, False, DataError),
+    (b"a,y\n1,2,\n3,4,\n", {}, False, DataError),
+    (b"a,b,y\n1,,3\n", {}, False, MissingValue),
+    (b"a,y\n#,1\n2,3\n", {}, False, Dataset),
+    (b'"a",y\n1,2\n', {}, False, Dataset),
+    ("\ufeffa,y\n1,2\n".encode("utf-8"), {}, True, Dataset),
+    (b"\xffa,y\n1,2\n", {}, False, DataError),
+    (b"a,y\r\n1,2\r\n", {}, False, Dataset),
+    (b"a,b,y\n1,2,3\n", {}, True, Dataset),
+    (b"a,y\n1,2\n-0,3\n", {}, True, Dataset),
+    (b"y\n1\n2\n", {}, True, EmptyDataset),
+    (b"a,a,y\n1,2,3\n", {}, False, DataError),
+    (b"a,y\n1e400,1\n2,3\n", {}, False, Dataset),
+    (b"x,y\n0,1\n1,2\n0,3\n", {"schema_overrides": CATEGORICAL_X}, False, Dataset),
+    (b"x,y\n0,1\n1,2\n0,3\n", {"schema_overrides": {"x": ColumnKind.NUMERIC}}, True, Dataset),
+], ids=["blank-line", "leading-blank-line", "blank-header", "only-header", "only-header-no-newline",
+        "same-wrong-width", "trailing-comma", "empty-cell", "hash-cell", "quoted-header", "bom-header",
+        "non-utf8-header", "crlf", "single-row", "single-feature", "response-only", "duplicate-names",
+        "overflow-cell", "schema-categorical", "schema-numeric"])
+def test_fast_path_guard_cases(tmp_path, content, kwargs, fast, want):
+    path = tmp_path / "d.csv"
+    path.write_bytes(content)
+    got, took_fast = load_traced(path, **kwargs)
+    assert took_fast == fast
+    assert type(got) is want
+    assert_same_load(got, load_reference(path, **kwargs))
+
+
+def test_missing_file_is_the_same_os_error_on_both_paths(tmp_path):
+    path = tmp_path / "nope.csv"
+    got, _ = load_traced(path)
+    want = load_reference(path)
+    assert type(got) is FileNotFoundError and str(got) == str(want)
+    assert main(["attribute", "--data", str(path), "--response", "y", "--method", "igcs",
+                 "--targets", "0", "--out", str(tmp_path / "x.jsonl")]) == 3
+
+
+def test_benchmark_sparse_csv_takes_the_fast_path(tmp_path):
+    """The benchmark's wide 0/1 CSV must not fall back silently: the fast
+    path is its whole load-time gain."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    inputs = workloads.gen_sparse(3, {"n": 40, "d": 64, "k": 5}, str(tmp_path / "sparse.csv"))
+    got, fast = load_traced(inputs.csv)
+    assert fast
+    assert got.responses.tobytes() == inputs.response.tobytes()
+    assert_same_load(got, load_reference(inputs.csv))
 
 
 @pytest.mark.parametrize("rows, error, fault", [

@@ -306,14 +306,30 @@ def test_refinement_path_matches_dense_oracle_bitwise(case):
     as the dense argmax, so both bincounts add the same numbers in the
     same order: sizes and sums agree to the last bit."""
     profile, responses, ordering = case
+    full = len(ordering) == profile.d
     for weights in (None, responses):
-        sizes, sums = refinement_path(profile, ordering, weights)
-        want_sizes, want_sums = refinement_path_dense(profile, ordering, weights)
-        assert sizes.dtype == want_sizes.dtype and sizes.tobytes() == want_sizes.tobytes()
-        if weights is None:
-            assert sums is None and want_sums is None
-        else:
-            assert sums.dtype == want_sums.dtype and sums.tobytes() == want_sums.tobytes()
+        paths = [(refinement_path(profile, ordering, weights), ordering)]
+        if full:
+            # the deletion exits come from the same gather as the first exits
+            forward, backward = refinement_path(profile, ordering, weights, with_reversed=True)
+            paths += [(forward, ordering), (backward, ordering[::-1])]
+        for (sizes, sums), order in paths:
+            want_sizes, want_sums = refinement_path_dense(profile, order, weights)
+            assert sizes.dtype == want_sizes.dtype and sizes.tobytes() == want_sizes.tobytes()
+            if weights is None:
+                assert sums is None and want_sums is None
+            else:
+                assert sums.dtype == want_sums.dtype and sums.tobytes() == want_sums.tobytes()
+    if full:
+        cv = CohortValue(profile, responses)
+        insertion, deletion = conditional_curves(cv, ordering)
+        sizes, sums = refinement_path_dense(profile, ordering, responses)
+        assert insertion.tobytes() == (sums / sizes).tobytes()
+        sizes, sums = refinement_path_dense(profile, ordering[::-1], responses)
+        assert deletion.tobytes() == (sums / sizes)[::-1].tobytes()
+    else:
+        with pytest.raises(ValueError, match="reversed path"):
+            refinement_path(profile, ordering, responses, with_reversed=True)
 
 
 def test_sparse_rows_list_each_dissimilarity_set():
