@@ -50,7 +50,6 @@ from .errors import (
     NonNumericValue,
     SingularCovariance,
     TargetOutOfRange,
-    ZOutOfRange,
 )
 from .evaluation import (
     AbcReport,
@@ -61,15 +60,14 @@ from .evaluation import (
     random_ordering_baseline,
     variable_ordering,
 )
-from .igcs import QuadratureSpec, SoftValue, ig_of_function, igcs_attribution
+from .igcs import QuadratureSpec, SoftValue, igcs_attribution
 from .shapley import (
     Attribution,
     ValueFunction,
     exact_shapley,
-    exhaustive_permutation_shapley,
     mc_shapley,
 )
-from .similarity import SimilarityProfile, build_profile, cohort, soft_similarity
+from .similarity import SimilarityProfile, build_profile, cohort
 from .values import CohortValue, GkwValue, UniquenessValue
 
 __version__ = "0.1.0"
@@ -114,7 +112,6 @@ __all__ = [
     "TargetOutOfRange",
     "UniquenessValue",
     "ValueFunction",
-    "ZOutOfRange",
     "abc_report",
     "abc_scores",
     "build_profile",
@@ -124,10 +121,8 @@ __all__ = [
     "cs_vs_igcs",
     "dataset_summary",
     "exact_shapley",
-    "exhaustive_permutation_shapley",
     "feature_ranges",
     "heps_mass",
-    "ig_of_function",
     "igcs_attribution",
     "load_dataset",
     "make_similarity_spec",
@@ -135,6 +130,5 @@ __all__ = [
     "random_ordering_baseline",
     "save_dataset",
     "second_order_weights",
-    "soft_similarity",
     "variable_ordering",
 ]

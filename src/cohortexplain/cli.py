@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -348,11 +349,14 @@ def _json_object(text: str, where: str) -> dict:
 
 def _read_attribution_file(path) -> tuple[dict, list[tuple[str, dict]]]:
     """Header and (location, record) pairs; the location is PATH:LINE."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [(f"{path}:{no}", line) for no, line in enumerate(fh, start=1) if line.strip()]
+        text = raw.decode("utf-8")  # whole, so the offset below is the file's
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    lines = [(f"{path}:{no}", line) for no, line in enumerate(io.StringIO(text, newline=None), start=1)
+             if line.strip()]
     if not lines:
         raise DataError(f"{path}: empty attribution file")
     where, line = lines[0]

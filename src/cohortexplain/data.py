@@ -188,12 +188,6 @@ class Dataset:
     def d(self) -> int:
         return self.features.shape[1]
 
-    def column_index(self, name: str) -> int:
-        try:
-            return self.column_names.index(name)
-        except ValueError:
-            raise MissingColumn(name) from None
-
 
 def _parse_column(cells) -> Optional[np.ndarray]:
     """The cells as finite reals, or None if any cell is not one."""
@@ -221,12 +215,14 @@ def _parse_table(data: list[list[str]], width: int) -> np.ndarray:
     return table
 
 
-def _read_rows(path) -> tuple[list[str], list[list[str]]]:
+def _read_rows(path, raw: bytes) -> tuple[list[str], list[list[str]]]:
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+        reader = csv.reader(io.StringIO(raw.decode("utf-8"), newline=""))
+        rows = list(reader)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise EmptyDataset(f"{path}: file is empty")
     header, data = rows[0], rows[1:]
@@ -246,22 +242,30 @@ def _read_rows(path) -> tuple[list[str], list[list[str]]]:
 _PLAIN_BYTES = b"0123456789.eE+-,\n"
 
 
-def _read_plain(path) -> Optional[tuple[list[str], np.ndarray]]:
+def _longest_line(body: bytes) -> int:
+    ends = np.flatnonzero(np.frombuffer(body, dtype=np.uint8) == ord("\n"))
+    return int(np.diff(ends, prepend=-1, append=len(body)).max()) - 1
+
+
+def _read_plain(raw: bytes) -> Optional[tuple[list[str], np.ndarray]]:
     """The header and the table of a plain numeric CSV, or None when the file
-    is not one: a header without '"' or '\\r', in UTF-8, of distinct names;
-    a non-empty body of ``_PLAIN_BYTES`` with no blank line; and a table of
-    finite reals as wide as the header."""
-    with open(path, "rb") as fh:
-        head, _, body = fh.read().partition(b"\n")
+    is not one: a header without '"' or '\\r', in UTF-8, of distinct names no
+    longer than ``csv.field_size_limit()``; a non-empty body of ``_PLAIN_BYTES``
+    with no blank line and no line over that limit; and a table of finite
+    reals as wide as the header."""
+    head, _, body = raw.partition(b"\n")
+    limit = csv.field_size_limit()
     if (not head or b'"' in head or b"\r" in head or not body or body.startswith(b"\n")
-            or b"\n\n" in body or body.translate(None, _PLAIN_BYTES)):
+            or b"\n\n" in body or body.translate(None, _PLAIN_BYTES)
+            or len(body) > limit and _longest_line(body) > limit):
         return None
     try:
         header = head.decode("utf-8").split(",")
         table = np.loadtxt(io.BytesIO(body), delimiter=",", comments=None, ndmin=2, dtype=float)
     except ValueError:  # UnicodeDecodeError included
         return None
-    if len(set(header)) != len(header) or table.shape[1] != len(header) or not np.isfinite(table).all():
+    if (len(set(header)) != len(header) or max(map(len, header)) > limit
+            or table.shape[1] != len(header) or not np.isfinite(table).all()):
         return None
     return header, table
 
@@ -286,13 +290,16 @@ def load_dataset(
     fast path declines, by the reference loader, with the same result.
     """
     overrides = dict(schema_overrides or {})
-    plain = None if ColumnKind.CATEGORICAL in overrides.values() else _read_plain(path)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    plain = None if ColumnKind.CATEGORICAL in overrides.values() else _read_plain(raw)
     if plain is None:
-        header, data = _read_rows(path)
+        header, data = _read_rows(path, raw)
         table = _parse_table(data, len(header))
     else:
         # All finite and no column forced categorical: nothing reads ``data``.
         header, table = plain
+    del raw  # free the file's bytes before the feature copy below
     for name in overrides:
         if name not in header:
             raise MissingColumn(name)

@@ -68,10 +68,6 @@ class TargetOutOfRange(ComputationError):
         self.n = n
 
 
-class ZOutOfRange(ComputationError):
-    pass
-
-
 class DimensionTooLarge(ComputationError):
     def __init__(self, d: int, cap: int):
         super().__init__(f"dimension {d} exceeds the cap of {cap}")

@@ -1,5 +1,4 @@
-"""Soft cohort value on the unit cube, its exact gradient, and diagonal-path
-integrated-gradient attribution.
+"""Diagonal-path integrated-gradient attribution of the soft cohort value.
 
 The binary cohort mean extends to z in [0,1]^d as a ratio of a soft total to
 a soft cardinality,
@@ -19,13 +18,12 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConfigError
 from .shapley import Attribution, _finish
-from .similarity import SimilarityProfile, check_unit_cube, soft_similarity
+from .similarity import SimilarityProfile
 
 
 @dataclass(frozen=True)
@@ -50,7 +48,7 @@ class QuadratureSpec:
 
 
 class SoftValue:
-    """The soft cohort mean nu(z) for one target, with exact derivatives.
+    """The soft cohort mean nu(z) for one target, in the form IGCS reads.
 
     Rows are bucketed by dissimilarity count |J_i| at construction: each
     bucket keeps its row count and response sum, and each row its bucket.
@@ -71,48 +69,6 @@ class SoftValue:
         self._fsum_per = np.bincount(self._bucket, weights=responses)
         self.grand_mean = float(responses.mean())
         self.refined_mean = float(responses[counts == 0].mean())
-
-    @property
-    def d(self) -> int:
-        return self.profile.d
-
-    def value(self, z) -> float:
-        """nu(z): soft total over soft cardinality; nu(0) is the grand mean
-        and every corner equals the matching cohort mean exactly."""
-        s = soft_similarity(self.profile, z)
-        return float((self.responses @ s) / s.sum())
-
-    def gradient(self, z) -> np.ndarray:
-        """Exact gradient of nu by the quotient rule.
-
-        The per-row partial d s_z / d z_k is -prod_{j in J_i, j != k}(1-z_j)
-        for k in J_i and 0 otherwise; rows are split by how many of their
-        dissimilar factors are exactly zero so boundary points (some z_j = 1)
-        are handled without dividing by zero.
-        """
-        z = check_unit_cube(z, self.d)
-        D = self.profile.dissimilar
-        resp = self.responses
-        one_minus = 1.0 - z
-        zero_factor = D & (one_minus == 0.0)[np.newaxis, :]
-        n_zero = zero_factor.sum(axis=1)
-        live = D & ~zero_factor
-        prod_live = np.where(live, one_minus[np.newaxis, :], 1.0).prod(axis=1)
-
-        s = np.where(n_zero == 0, prod_live, 0.0)
-        denom = s.sum()
-        numer = resp @ s
-
-        partials = np.zeros((len(resp), self.d))
-        full = n_zero == 0
-        safe = np.where(one_minus == 0.0, 1.0, one_minus)
-        partials[full] = (prod_live[full, np.newaxis] / safe[np.newaxis, :]) * D[full]
-        single = n_zero == 1
-        partials[single] = prod_live[single, np.newaxis] * zero_factor[single]
-
-        d_grads = -partials.sum(axis=0)
-        n_grads = -(resp @ partials)
-        return (n_grads * denom - numer * d_grads) / denom**2
 
 
 def igcs_attribution(sv: SoftValue, quad: QuadratureSpec = QuadratureSpec()) -> Attribution:
@@ -142,34 +98,3 @@ def igcs_attribution(sv: SoftValue, quad: QuadratureSpec = QuadratureSpec()) -> 
         "igcs", psi, sv.grand_mean, sv.refined_mean, sv.profile.target_index,
         steps=quad.steps,
     )
-
-
-def ig_of_function(
-    value: Callable[[np.ndarray], float],
-    d: int,
-    quad: QuadratureSpec = QuadratureSpec(),
-    gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> np.ndarray:
-    """Diagonal-path integrated gradients of an arbitrary function on [0,1]^d.
-
-    With a gradient evaluator, averages it over the midpoint nodes.  Without
-    one, falls back to the gradient-free path estimator
-    sum_r [g(r/R 1 + e_j/R) - g(r/R 1)], which needs only function values.
-    Used as the oracle for the Shapley-match property tests and the
-    second-order diagnostics.
-    """
-    if gradient is not None:
-        acc = np.zeros(d)
-        for alpha in quad.nodes():
-            acc += np.asarray(gradient(np.full(d, alpha)), dtype=float)
-        return acc / quad.steps
-    steps = quad.steps
-    psi = np.zeros(d)
-    for r in range(steps):
-        base = np.full(d, r / steps)
-        g_base = value(base)
-        for j in range(d):
-            stepped = base.copy()
-            stepped[j] += 1.0 / steps
-            psi[j] += value(stepped) - g_base
-    return psi

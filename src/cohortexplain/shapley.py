@@ -9,7 +9,6 @@ for every sample by telescoping.  Both explain nu([d]) - nu(empty).
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from abc import ABC, abstractmethod
@@ -22,7 +21,6 @@ from .errors import ComputationError, DimensionTooLarge
 from .sampling import fisher_yates, rng_from
 
 DEFAULT_DIMENSION_CAP = 25
-EXHAUSTIVE_PERMUTATION_CAP = 8
 #: Largest d for which any 2^d-entry subset table is built.
 LATTICE_DIMENSION_CAP = 30
 #: 2^d-entry float64 tables the exact engine budgets for.  Three are live at
@@ -118,10 +116,6 @@ class Attribution:
     target_index: Optional[int] = None
     stderr: Optional[np.ndarray] = None
     meta: dict = field(default_factory=dict)
-
-    @property
-    def d(self) -> int:
-        return len(self.values)
 
 
 def _finish(method, values, nu_empty, nu_full, target_index, stderr=None, **meta) -> Attribution:
@@ -220,27 +214,4 @@ def mc_shapley(
     return _finish(
         "permutation-mc", values, nu_empty, nu_full, nu.target_index,
         stderr=stderr, samples=samples, seed=label,
-    )
-
-
-def exhaustive_permutation_shapley(nu: ValueFunction, cap: int = EXHAUSTIVE_PERMUTATION_CAP) -> Attribution:
-    """Average the increments of all d! permutations (small d only).
-
-    This is the permutation-form definition of the Shapley value; it is the
-    engine switch used to cross-check the subset-weighted exact engine.
-    """
-    d = nu.d
-    if d > cap:
-        raise DimensionTooLarge(d, cap)
-    acc = np.zeros(d)
-    count = 0
-    for perm in itertools.permutations(range(d)):
-        acc += nu.permutation_increments(np.array(perm))
-        count += 1
-    values = acc / count
-    nu_empty = nu.evaluate(())
-    nu_full = nu.evaluate(tuple(range(d)))
-    return _finish(
-        "exhaustive-permutations", values, nu_empty, nu_full, nu.target_index,
-        permutations=count,
     )

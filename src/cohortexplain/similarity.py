@@ -1,11 +1,12 @@
 """Per-target dissimilarity sets, cohorts, cohort refinement along an
-ordering, soft similarity and the subset-lattice tables.
+ordering and the subset-lattice tables.
 
 For a fixed target t, D[i, j] = |x_ij - x_tj| > w_j says whether feature j is
 in the dissimilarity set J_i of observation i, w_j being the width of the
 column's rule.  That boolean matrix, held by the profile, and the counts
 |J_i| are the only representation of the sets; every cohort, refinement
-path, soft weight and subset-lattice table is computed from them, here.
+path and subset-lattice table is computed from them, here, and IGCS reads
+the same matrix.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .data import Dataset, SimilaritySpec, similarity_widths
-from .errors import TargetOutOfRange, ZOutOfRange
+from .errors import TargetOutOfRange
 from .shapley import check_lattice
 
 
@@ -76,11 +77,6 @@ class SimilarityProfile:
         for arr in (rows, starts, cols):
             arr.setflags(write=False)
         return rows, starts, cols
-
-    @classmethod
-    def from_indicators(cls, indicators: np.ndarray, target_index: int) -> "SimilarityProfile":
-        S = np.asarray(indicators, dtype=bool)
-        return cls(target_index=target_index, d=S.shape[1], dissimilar=~S)
 
 
 def build_profile(ds: Dataset, spec: SimilaritySpec, target_index: int) -> SimilarityProfile:
@@ -180,25 +176,3 @@ def superset_tables(profile: SimilarityProfile, *weights) -> list[np.ndarray]:
             view[:, 0, :] += view[:, 1, :]
         tables.append(acc)
     return tables
-
-
-def check_unit_cube(z, d: int) -> np.ndarray:
-    """Validate a point of the weight space [0, 1]^d."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (d,):
-        raise ZOutOfRange(f"z must have shape ({d},), got {z.shape}")
-    if not (np.all(z >= 0.0) and np.all(z <= 1.0)):
-        raise ZOutOfRange("z must lie in [0, 1]^d")
-    return z
-
-
-def soft_similarity(profile: SimilarityProfile, z) -> np.ndarray:
-    """Soft similarity s_z(x_i) = prod_{j in J_i} (1 - z_j).
-
-    Interpolates each indicator linearly from 1 at z_j = 0 down to
-    S[i, j] at z_j = 1, so corners of the cube reproduce the binary
-    S_u indicators and the target always scores exactly 1.
-    """
-    z = check_unit_cube(z, profile.d)
-    factors = np.where(profile.dissimilar, 1.0 - z[np.newaxis, :], 1.0)
-    return factors.prod(axis=1)

@@ -33,11 +33,17 @@ def make_dataset(features, responses, kinds=None, names=None, response_name="y")
     )
 
 
+def profile_from_indicators(indicators, target_index) -> SimilarityProfile:
+    """The profile whose similarity matrix S = ~D is ``indicators``."""
+    S = np.asarray(indicators, dtype=bool)
+    return SimilarityProfile(target_index, S.shape[1], ~S)
+
+
 def random_binary_profile(rng, n, d, target=0, density=0.5) -> SimilarityProfile:
     """Random indicator matrix with an all-similar target row."""
     S = rng.random((n, d)) < density
     S[target] = True
-    return SimilarityProfile.from_indicators(S, target)
+    return profile_from_indicators(S, target)
 
 
 def random_cohort_instance(rng, n, d, target=0, density=0.5):
@@ -59,9 +65,58 @@ def d3_spec() -> SimilaritySpec:
 @pytest.fixture
 def d3_profile() -> SimilarityProfile:
     S = np.array([[1, 1], [1, 0], [0, 0]], dtype=bool)
-    return SimilarityProfile.from_indicators(S, 0)
+    return profile_from_indicators(S, 0)
 
 
 @pytest.fixture
 def d3_cohort_value(d3_profile) -> CohortValue:
     return CohortValue(d3_profile, D3_RESPONSES)
+
+
+def random_multilinear(rng, d):
+    """A random multilinear g(z) = sum_m c_m prod_{j in m} z_j over the
+    subsets m of [d]: its gradient at each row of an (R, d) array, and its
+    values at the 2^d corners, indexed by bitmask."""
+    coeffs = rng.normal(size=1 << d)
+    masks = np.arange(1 << d)
+
+    def monomials(Z):  # column m holds prod_{j in m} z_j
+        M = np.ones((len(Z), 1))
+        for j in range(d):
+            M = np.hstack([M, M * Z[:, j : j + 1]])
+        return M
+
+    def grad(Z):
+        M = monomials(Z)
+        out = np.empty_like(Z)
+        for j in range(d):
+            on = masks[(masks >> j) & 1 == 1]
+            out[:, j] = M[:, on ^ (1 << j)] @ coeffs[on]
+        return out
+
+    corners = monomials(((masks[:, np.newaxis] >> np.arange(d)) & 1).astype(float)) @ coeffs
+    return grad, corners
+
+
+def product_gradient(u):
+    """The gradient of g(z) = prod_{j in u} h(z_j), h(v) = 1 + v^2, at each
+    row of an (R, d) array."""
+    u = list(u)
+
+    def grad(Z):
+        H = 1.0 + Z[:, u] ** 2
+        out = np.zeros_like(Z)
+        out[:, u] = 2.0 * Z[:, u] * H.prod(axis=1, keepdims=True) / H
+        return out
+
+    return grad
+
+
+def power_product_gradient(exponents):
+    """The gradient of g(z) = prod_j (1 - z_j)^e_j at each row of an (R, d)
+    array of interior points (every z_j < 1)."""
+
+    def grad(Z):
+        return -exponents * np.prod((1.0 - Z) ** exponents, axis=1, keepdims=True) / (1.0 - Z)
+
+    return grad

@@ -67,18 +67,45 @@ def refinement_path_dense(profile, ordering, responses=None):
     return sizes, sums
 
 
-def soft_value_brute(indicators, responses, z):
-    """Direct evaluation of the weighted-mean extension at one point."""
-    num = 0.0
-    den = 0.0
-    for i in range(indicators.shape[0]):
-        s = 1.0
-        for j in range(indicators.shape[1]):
-            if not indicators[i, j]:
-                s *= 1.0 - z[j]
-        num += responses[i] * s
-        den += s
-    return num / den
+def soft_similarity(dissimilar, z):
+    """s_z(x_i) = prod_{j in J_i} (1 - z_j) for every row i of the
+    dissimilarity matrix, at one point z of shape (d,) (giving (n,)) or at
+    each row of an (R, d) array (giving (R, n))."""
+    z = np.asarray(z, dtype=float)
+    return np.where(dissimilar, 1.0 - z[..., np.newaxis, :], 1.0).prod(axis=-1)
+
+
+def soft_value(dissimilar, responses, z):
+    """The soft cohort mean nu(z) = sum_i f_i s_z(x_i) / sum_i s_z(x_i), at
+    one point or at each row of an (R, d) array."""
+    s = soft_similarity(dissimilar, z)
+    return (s @ responses) / s.sum(axis=-1)
+
+
+def soft_gradient(dissimilar, responses, z):
+    """Exact gradient of nu by the quotient rule, at one point or at each row
+    of an (R, d) array.  The partial d s_z(x_i) / d z_k is
+    -prod_{j in J_i, j != k} (1 - z_j) for k in J_i and 0 otherwise, taken
+    from prefix and suffix products so that a factor that is exactly 0
+    (z_j = 1) needs no division."""
+    D = np.asarray(dissimilar, dtype=bool)
+    F = np.where(D, 1.0 - np.asarray(z, dtype=float)[..., np.newaxis, :], 1.0)
+    before = np.ones_like(F)
+    before[..., 1:] = np.cumprod(F[..., :-1], axis=-1)
+    after = np.ones_like(F)
+    after[..., :-1] = np.cumprod(F[..., :0:-1], axis=-1)[..., ::-1]
+    partials = np.where(D, -before * after, 0.0)
+    s = F.prod(axis=-1)
+    B, C = s.sum(axis=-1)[..., np.newaxis], (s @ responses)[..., np.newaxis]
+    return ((responses @ partials) * B - C * partials.sum(axis=-2)) / B**2
+
+
+def diagonal_ig(gradient, d, steps):
+    """Integrated gradients along the diagonal of [0, 1]^d by the midpoint
+    rule: the mean of the gradient over the nodes alpha_r = (2r - 1) / (2R).
+    ``gradient`` maps the (R, d) array of nodes to their (R, d) gradients."""
+    alphas = (np.arange(steps) + 0.5) / steps
+    return gradient(np.repeat(alphas[:, np.newaxis], d, axis=1)).mean(axis=0)
 
 
 def central_difference_gradient(fn, z, h=1e-5):

@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import importlib.util
+import json
 import pathlib
 import sys
 from unittest import mock
@@ -312,6 +314,9 @@ def test_plain_loader_matches_per_cell_oracle(tmp_path_factory, table):
 
 
 CATEGORICAL_X = {"x": ColumnKind.CATEGORICAL}
+LIMIT = csv.field_size_limit()
+LONG_HEADER = b"h" * 140_000 + b",y\n0,1\n1,2\n"
+LONG_CELL = b"x,y\n" + b"a" * 140_000 + b",1\n1,2\n"
 
 
 @pytest.mark.parametrize("content, kwargs, fast, want", [
@@ -335,10 +340,15 @@ CATEGORICAL_X = {"x": ColumnKind.CATEGORICAL}
     (b"a,y\n1e400,1\n2,3\n", {}, False, Dataset),
     (b"x,y\n0,1\n1,2\n0,3\n", {"schema_overrides": CATEGORICAL_X}, False, Dataset),
     (b"x,y\n0,1\n1,2\n0,3\n", {"schema_overrides": {"x": ColumnKind.NUMERIC}}, True, Dataset),
+    (LONG_HEADER, {}, False, DataError),
+    (b"h" * LIMIT + b",y\n0,1\n1,2\n", {}, True, Dataset),
+    (b"x,y\n" + b"0" * 140_000 + b",1\n1,2\n", {}, False, DataError),
+    (LONG_CELL, {}, False, DataError),
 ], ids=["blank-line", "leading-blank-line", "blank-header", "only-header", "only-header-no-newline",
         "same-wrong-width", "trailing-comma", "empty-cell", "hash-cell", "quoted-header", "bom-header",
         "non-utf8-header", "crlf", "single-row", "single-feature", "response-only", "duplicate-names",
-        "overflow-cell", "schema-categorical", "schema-numeric"])
+        "overflow-cell", "schema-categorical", "schema-numeric", "long-header-name",
+        "header-name-at-field-limit", "long-plain-cell", "long-cell"])
 def test_fast_path_guard_cases(tmp_path, content, kwargs, fast, want):
     path = tmp_path / "d.csv"
     path.write_bytes(content)
@@ -346,6 +356,32 @@ def test_fast_path_guard_cases(tmp_path, content, kwargs, fast, want):
     assert took_fast == fast
     assert type(got) is want
     assert_same_load(got, load_reference(path, **kwargs))
+
+
+@pytest.mark.parametrize("content, line", [(LONG_HEADER, 1), (LONG_CELL, 2)], ids=["long-header", "long-cell"])
+def test_field_over_the_csv_limit_exits_3(tmp_path, capsys, content, line):
+    path = tmp_path / "d.csv"
+    path.write_bytes(content)
+    assert main(["attribute", "--data", str(path), "--response", "y", "--method", "igcs",
+                 "--targets", "0", "--out", str(tmp_path / "a.jsonl")]) == 3
+    (err_line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(err_line) == {
+        "error": "DataError", "message": f"{path}: line {line}: field larger than field limit ({LIMIT})"}
+
+
+def test_decode_errors_report_the_file_offset(tmp_path, capsys):
+    """Past the first 8 KB, a bad byte is reported at its index in the file."""
+    good = write(tmp_path / "good.csv", "x,y\n0,1\n1,2\n")
+    bad_csv, bad_attr = tmp_path / "bad.csv", tmp_path / "bad.jsonl"
+    for path, content, offset in [(bad_csv, b"x,y\n" + b"0,1\n" * 6000, 20004), (bad_attr, b"\n" * 30_000, 24042)]:
+        path.write_bytes(content[:offset] + b"\xff" + content[offset + 1 :])
+    for path, offset, args in [
+        (bad_csv, 20004, ["attribute", "--data", str(bad_csv), "--method", "igcs"]),
+        (bad_attr, 24042, ["evaluate", "--data", str(good), "--attributions", str(bad_attr)]),
+    ]:
+        assert main([*args, "--response", "y", "--out", str(tmp_path / "out")]) == 3
+        (err_line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(err_line)["message"] == f"{path}: not UTF-8 (invalid start byte at byte {offset})"
 
 
 def test_missing_file_is_the_same_os_error_on_both_paths(tmp_path):

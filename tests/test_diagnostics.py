@@ -12,18 +12,17 @@ from cohortexplain import (
     EpsOutOfRange,
     Equality,
     QuadratureSpec,
-    SimilarityProfile,
     SimilaritySpec,
     corner_convergence,
     cs_vs_igcs,
     heps_mass,
-    ig_of_function,
     second_order_weights,
 )
 
 from cohortexplain.diagnostics import spearman
 
-from conftest import D3_FEATURES, D3_RESPONSES, make_dataset
+from conftest import D3_FEATURES, D3_RESPONSES, make_dataset, power_product_gradient, profile_from_indicators
+from oracles import diagonal_ig
 
 
 def profile_with_counts(rng, n, d, low, high, target=0):
@@ -34,7 +33,7 @@ def profile_with_counts(rng, n, d, low, high, target=0):
             continue
         k = int(rng.integers(low, high + 1))
         S[i, rng.choice(d, size=k, replace=False)] = False
-    return SimilarityProfile.from_indicators(S, target)
+    return profile_from_indicators(S, target)
 
 
 def test_heps_validation(d3_profile):
@@ -64,7 +63,7 @@ def test_heps_duplicate_regime():
     S[2, :3] = False  # |J_2| = 3
     S[3, :] = False   # |J_3| = 6
     # row 1 is a duplicate of the target (all-similar)
-    profile = SimilarityProfile.from_indicators(S, 0)
+    profile = profile_from_indicators(S, 0)
     report = heps_mass(profile, eps=0.5, samples=200, seed=1)
     assert report.duplicates == 1
     assert report.rows_used == 2
@@ -76,7 +75,7 @@ def test_heps_duplicate_regime():
 def test_heps_all_dissimilar_mass_vanishes():
     S = np.zeros((6, 60), dtype=bool)
     S[0] = True
-    profile = SimilarityProfile.from_indicators(S, 0)
+    profile = profile_from_indicators(S, 0)
     report = heps_mass(profile, eps=0.01, samples=500, seed=2)
     assert report.a == 1.0 and report.A == 1.0
     assert report.mass_estimate <= report.theorem_bound + 3 * report.mass_se
@@ -119,7 +118,7 @@ def test_corner_convergence_d3(d3_profile):
 def test_corner_single_full_dissim_row():
     S = np.ones((2, 5), dtype=bool)
     S[1] = False
-    profile = SimilarityProfile.from_indicators(S, 0)
+    profile = profile_from_indicators(S, 0)
     report = corner_convergence(profile)
     assert report.corners_inside == 1  # only u = empty
     assert report.fraction == pytest.approx(2.0**-5)
@@ -129,14 +128,14 @@ def test_corner_single_full_dissim_row():
 def test_corner_full_subset_inside_iff_duplicate():
     S = np.ones((3, 4), dtype=bool)
     S[2, 0] = False
-    profile = SimilarityProfile.from_indicators(S, 0)  # row 1 duplicates target
+    profile = profile_from_indicators(S, 0)  # row 1 duplicates target
     report = corner_convergence(profile)
     assert report.fraction == 1.0  # duplicate makes every corner inside
 
     S2 = ~np.zeros((3, 4), dtype=bool)
     S2[1, 1] = False
     S2[2, 0] = False
-    profile2 = SimilarityProfile.from_indicators(S2, 0)
+    profile2 = profile_from_indicators(S2, 0)
     report2 = corner_convergence(profile2)
     assert report2.fraction < 1.0
 
@@ -160,7 +159,7 @@ def test_corner_dimension_cap():
     S = np.ones((2, 21), dtype=bool)
     S[1, 0] = False
     with pytest.raises(DimensionTooLarge):
-        corner_convergence(SimilarityProfile.from_indicators(S, 0))
+        corner_convergence(profile_from_indicators(S, 0))
 
 
 def test_second_order_weight_examples():
@@ -194,27 +193,14 @@ def test_second_order_weights_sum_to_one():
 
 
 def pair_term(a, b, d):
-    """g_{i,i'}(z) = prod_{J_i}(1-z_j) prod_{J_i'}(1-z_j) with its gradient."""
+    """The gradient of g_{i,i'}(z) = prod_{J_i}(1-z_j) prod_{J_i'}(1-z_j)
+    at each row of an (R, d) array."""
     exponents = np.zeros(d)
     for j in a:
         exponents[j] += 1
     for j in b:
         exponents[j] += 1
-
-    def g(z):
-        return float(np.prod((1.0 - z) ** exponents))
-
-    def grad(z):
-        out = np.zeros(d)
-        for j in range(d):
-            if exponents[j] > 0:
-                rest = np.prod([
-                    (1.0 - z[k]) ** exponents[k] for k in range(d) if k != j
-                ])
-                out[j] = -exponents[j] * (1.0 - z[j]) ** (exponents[j] - 1) * rest
-        return out
-
-    return g, grad
+    return power_product_gradient(exponents)
 
 
 def test_pair_term_ig_matches_closed_form():
@@ -223,8 +209,7 @@ def test_pair_term_ig_matches_closed_form():
         d = int(rng.integers(3, 10))
         a = set(rng.choice(d, size=int(rng.integers(1, min(4, d) + 1)), replace=False).tolist())
         b = set(rng.choice(d, size=int(rng.integers(1, min(4, d) + 1)), replace=False).tolist())
-        g, grad = pair_term(a, b, d)
-        psi = ig_of_function(g, d, QuadratureSpec(10_000), gradient=grad)
+        psi = diagonal_ig(pair_term(a, b, d), d, 10_000)
         _, ig_weights = second_order_weights(a, b, d)
         # attributions explain g(1) - g(0) = -1, so psi = -weights
         np.testing.assert_allclose(psi, -ig_weights, atol=1e-6)

@@ -1,22 +1,31 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from cohortexplain import (
     CohortValue,
     ConfigError,
-    SimilarityProfile,
-    ZOutOfRange,
     exact_shapley,
-    ig_of_function,
     igcs_attribution,
 )
 from cohortexplain.igcs import QuadratureSpec, SoftValue
+from cohortexplain.similarity import superset_tables
 
-from conftest import D3_RESPONSES, random_binary_profile
+from conftest import (
+    D3_RESPONSES,
+    product_gradient,
+    profile_from_indicators,
+    random_binary_profile,
+    random_multilinear,
+)
 from oracles import (
     central_difference_gradient,
+    diagonal_ig,
     make_table_vf,
-    soft_value_brute,
+    soft_gradient,
+    soft_similarity,
+    soft_value,
 )
 
 
@@ -40,10 +49,11 @@ def test_quadrature_steps_must_be_integer(steps):
     assert QuadratureSpec(np.int64(3)).steps == 3
 
 
-def test_soft_value_examples(d3_soft):
-    assert d3_soft.value(np.zeros(2)) == 2.0
-    assert d3_soft.value(np.array([0.5, 0.5])) == pytest.approx(11.0 / 7.0, abs=1e-15)
-    assert d3_soft.value(np.array([1.0, 0.0])) == 1.5  # corner -> cohort mean of {0}
+def test_soft_value_examples(d3_profile):
+    value = partial(soft_value, d3_profile.dissimilar, D3_RESPONSES)
+    assert value(np.zeros(2)) == 2.0
+    assert value(np.array([0.5, 0.5])) == pytest.approx(11.0 / 7.0, abs=1e-15)
+    assert value(np.array([1.0, 0.0])) == 1.5  # corner -> cohort mean of {0}
 
 
 def test_corner_consistency_exhaustive():
@@ -51,23 +61,28 @@ def test_corner_consistency_exhaustive():
     d = 12
     profile = random_binary_profile(rng, n=60, d=d, target=4)
     responses = rng.normal(size=60)
-    sv = SoftValue(profile, responses)
     cv = CohortValue(profile, responses)
+    corners = ((np.arange(1 << d)[:, np.newaxis] >> np.arange(d)) & 1).astype(float)
+    values = soft_value(profile.dissimilar, responses, corners)
     for mask in range(1 << d):
-        z = np.array([(mask >> j) & 1 for j in range(d)], dtype=float)
         u = tuple(j for j in range(d) if (mask >> j) & 1)
-        assert sv.value(z) == pytest.approx(cv.evaluate(u), abs=1e-12)
+        assert values[mask] == pytest.approx(cv.evaluate(u), abs=1e-12)
 
 
 def test_soft_value_matches_brute_force():
+    # s_z(x_i) is the chance that a random subset u, holding each j with
+    # probability z_j, misses J_i, so nu(z) is the ratio of the multilinear
+    # extensions of the cohort totals and sizes over all 2^d subsets
     rng = np.random.default_rng(22)
     profile = random_binary_profile(rng, n=35, d=7, target=2)
     responses = rng.normal(size=35)
-    sv = SoftValue(profile, responses)
+    totals, sizes = superset_tables(profile, responses, np.ones(35))
+    members = (np.arange(1 << 7)[:, np.newaxis] >> np.arange(7)) & 1
     for _ in range(25):
         z = rng.random(7)
-        expected = soft_value_brute(profile.indicators, responses, z)
-        assert sv.value(z) == pytest.approx(expected, abs=1e-12)
+        chance = np.where(members, z, 1.0 - z).prod(axis=1)
+        expected = (chance @ totals) / (chance @ sizes)
+        assert soft_value(profile.dissimilar, responses, z) == pytest.approx(expected, abs=1e-12)
 
 
 def test_gradient_matches_central_differences():
@@ -76,11 +91,10 @@ def test_gradient_matches_central_differences():
     for n, d in [(10, 4), (50, 12), (200, 30)]:
         profile = random_binary_profile(rng, n=n, d=d, target=0)
         responses = rng.normal(size=n)
-        sv = SoftValue(profile, responses)
         for _ in range(5):
             z = 0.05 + 0.9 * rng.random(d)  # interior points
-            grad = sv.gradient(z)
-            fd = central_difference_gradient(sv.value, z, h=1e-5)
+            grad = soft_gradient(profile.dissimilar, responses, z)
+            fd = central_difference_gradient(partial(soft_value, profile.dissimilar, responses), z, h=1e-5)
             worst = max(worst, float(np.max(np.abs(grad - fd))))
     assert worst <= 1e-6
 
@@ -89,10 +103,10 @@ def test_gradient_at_boundary_points():
     rng = np.random.default_rng(24)
     profile = random_binary_profile(rng, n=30, d=6, target=1)
     responses = rng.normal(size=30)
-    sv = SoftValue(profile, responses)
-    # z with some coordinates exactly 1 exercises the zero-factor branches
+    value = partial(soft_value, profile.dissimilar, responses)
+    # z with some coordinates exactly 1 makes some factors exactly 0
     z = np.array([1.0, 0.3, 1.0, 0.0, 0.8, 1.0])
-    grad = sv.gradient(z)
+    grad = soft_gradient(profile.dissimilar, responses, z)
     # one-sided difference oracle on the feasible side
     h = 1e-6
     for k in range(6):
@@ -100,7 +114,7 @@ def test_gradient_at_boundary_points():
         down[k] = max(0.0, z[k] - h)
         up = z.copy()
         up[k] = min(1.0, z[k] + h)
-        one_sided = (sv.value(up) - sv.value(down)) / (up[k] - down[k])
+        one_sided = (value(up) - value(down)) / (up[k] - down[k])
         assert grad[k] == pytest.approx(one_sided, abs=1e-4)
 
 
@@ -109,18 +123,18 @@ def test_dummy_coordinate_gradient_is_zero(d3_soft):
     S = rng.random((20, 5)) < 0.5
     S[0] = True
     S[:, 3] = True  # feature 3 similar everywhere
-    sv = SoftValue(SimilarityProfile.from_indicators(S, 0), rng.normal(size=20))
+    sv = SoftValue(profile_from_indicators(S, 0), rng.normal(size=20))
     for _ in range(10):
         z = rng.random(5)
-        assert sv.gradient(z)[3] == 0.0
+        assert soft_gradient(~S, sv.responses, z)[3] == 0.0
     psi = igcs_attribution(sv).values
     assert psi[3] == 0.0
 
 
 def test_single_row_dataset_gradient_zero():
-    profile = SimilarityProfile.from_indicators(np.ones((1, 4), bool), 0)
+    profile = profile_from_indicators(np.ones((1, 4), bool), 0)
     sv = SoftValue(profile, np.array([2.5]))
-    np.testing.assert_array_equal(sv.gradient(np.full(4, 0.3)), np.zeros(4))
+    np.testing.assert_array_equal(soft_gradient(profile.dissimilar, sv.responses, np.full(4, 0.3)), np.zeros(4))
     np.testing.assert_array_equal(igcs_attribution(sv).values, np.zeros(4))
 
 
@@ -130,7 +144,8 @@ def test_d3_gradient_closed_form(d3_soft):
         u = 1.0 - alpha
         denom = (1 + u + u * u) ** 2
         expected = np.array([-u * (2 + u) / denom, -(1 + 2 * u) / denom])
-        np.testing.assert_allclose(d3_soft.gradient(np.full(2, alpha)), expected, atol=1e-14)
+        grad = soft_gradient(d3_soft.profile.dissimilar, D3_RESPONSES, np.full(2, alpha))
+        np.testing.assert_allclose(grad, expected, atol=1e-14)
     # one midpoint node sits at alpha = 0.5
     np.testing.assert_allclose(
         igcs_attribution(d3_soft, QuadratureSpec(1)).values,
@@ -164,10 +179,10 @@ def _oracle_case(kind):
 )
 def test_igcs_matches_gradient_oracle(kind, steps):
     S, responses = _oracle_case(kind)
-    sv = SoftValue(SimilarityProfile.from_indicators(S, 0), responses)
+    sv = SoftValue(profile_from_indicators(S, 0), responses)
     quad = QuadratureSpec(steps)
     psi = igcs_attribution(sv, quad).values
-    oracle = ig_of_function(sv.value, sv.d, quad, gradient=sv.gradient)
+    oracle = diagonal_ig(partial(soft_gradient, ~S, responses), S.shape[1], steps)
     scale = np.abs(oracle).max()
     assert np.abs(psi - oracle).max() <= 1e-12 * scale
     if kind == "similar-column":
@@ -198,7 +213,7 @@ def test_single_constraint_exactness():
     S = np.ones((n, d), dtype=bool)
     S[rng.random(n) < 0.5, j0] = False
     S[0] = True
-    profile = SimilarityProfile.from_indicators(S, 0)
+    profile = profile_from_indicators(S, 0)
     responses = rng.normal(size=n)
     sv = SoftValue(profile, responses)
     attr = igcs_attribution(sv, QuadratureSpec(200))
@@ -229,7 +244,7 @@ def test_quadrature_order():
         rng = np.random.default_rng(seed)
         S = rng.random((50, 8)) < 0.5
         S[0] = True
-        sv = SoftValue(SimilarityProfile.from_indicators(S, 0), rng.normal(size=50))
+        sv = SoftValue(profile_from_indicators(S, 0), rng.normal(size=50))
         gap_r = igcs_attribution(sv, QuadratureSpec(5)).efficiency_gap
         gap_10r = igcs_attribution(sv, QuadratureSpec(50)).efficiency_gap
         assert abs(gap_r) > 1e-9
@@ -241,66 +256,16 @@ def test_ig_of_function_product_case():
     # psi_j = (h(1)^3 - h(0)^3)/3 = 7/3 on u, 0 elsewhere
     u = (0, 2, 3)
     d = 5
-
-    def h(v):
-        return 1.0 + v * v
-
-    def g(z):
-        out = 1.0
-        for j in u:
-            out *= h(z[j])
-        return out
-
-    def grad(z):
-        out = np.zeros(d)
-        for j in u:
-            out[j] = 2.0 * z[j] * g(z) / h(z[j])
-        return out
-
-    psi = ig_of_function(g, d, QuadratureSpec(10_000), gradient=grad)
+    psi = diagonal_ig(product_gradient(u), d, 10_000)
     expected = np.array([7.0 / 3.0 if j in u else 0.0 for j in range(d)])
     np.testing.assert_allclose(psi, expected, atol=1e-6)
-
-
-def test_ig_of_function_constant_and_gradient_free():
-    psi = ig_of_function(lambda z: 42.0, 3, QuadratureSpec(50))
-    np.testing.assert_allclose(psi, np.zeros(3), atol=1e-12)
-
-    # gradient-free path estimator on a smooth additive function:
-    # psi_j telescopes to g_j(1) - g_j(0) exactly for additive g
-    def g(z):
-        return float(np.sin(z[0]) + z[1] ** 3)
-
-    psi = ig_of_function(g, 2, QuadratureSpec(400))
-    np.testing.assert_allclose(psi, [np.sin(1.0), 1.0], atol=1e-3)
-
-
-def _random_multilinear(rng, d):
-    coeffs = rng.normal(size=1 << d)
-    members = np.array([[(m >> j) & 1 for j in range(d)] for m in range(1 << d)], dtype=bool)
-
-    def g(z):
-        prods = np.prod(np.where(members, z[np.newaxis, :], 1.0), axis=1)
-        return float(coeffs @ prods)
-
-    def grad(z):
-        out = np.zeros(d)
-        for j in range(d):
-            reduced = members.copy()
-            reduced[:, j] = False
-            pj = np.prod(np.where(reduced, z[np.newaxis, :], 1.0), axis=1)
-            out[j] = float(coeffs[members[:, j]] @ pj[members[:, j]])
-        return out
-
-    corner_values = np.array([g(np.array([(m >> j) & 1 for j in range(d)], dtype=float)) for m in range(1 << d)])
-    return g, grad, corner_values
 
 
 def test_multilinear_matches_corner_shapley():
     rng = np.random.default_rng(28)
     for d in (3, 5):
-        g, grad, corners = _random_multilinear(rng, d)
-        psi = ig_of_function(g, d, QuadratureSpec(10_000), gradient=grad)
+        grad, corners = random_multilinear(rng, d)
+        psi = diagonal_ig(grad, d, 10_000)
         phi = exact_shapley(make_table_vf(corners, d)).values
         np.testing.assert_allclose(psi, phi, atol=1e-6)
 
@@ -312,30 +277,17 @@ def test_soft_total_numerator_is_multilinear():
     d = 6
     profile = random_binary_profile(rng, n=30, d=d, target=0)
     responses = rng.normal(size=30)
-    dissim = ~profile.indicators
+    dissim = profile.dissimilar
 
-    def g(z):
-        return float(responses @ np.prod(np.where(dissim, 1.0 - z[np.newaxis, :], 1.0), axis=1))
-
-    def grad(z):
-        out = np.zeros(d)
+    def grad(Z):
+        out = np.empty_like(Z)
         for k in range(d):
             reduced = dissim.copy()
             reduced[:, k] = False
-            pk = np.prod(np.where(reduced, 1.0 - z[np.newaxis, :], 1.0), axis=1)
-            out[k] = -float(responses[dissim[:, k]] @ pk[dissim[:, k]])
+            out[:, k] = -(soft_similarity(reduced[dissim[:, k]], Z) @ responses[dissim[:, k]])
         return out
 
-    corners = np.array([
-        g(np.array([(m >> j) & 1 for j in range(d)], dtype=float)) for m in range(1 << d)
-    ])
-    psi = ig_of_function(g, d, QuadratureSpec(10_000), gradient=grad)
+    corners = soft_similarity(dissim, (np.arange(1 << d)[:, np.newaxis] >> np.arange(d)) & 1) @ responses
+    psi = diagonal_ig(grad, d, 10_000)
     phi = exact_shapley(make_table_vf(corners, d)).values
     np.testing.assert_allclose(psi, phi, atol=1e-6)
-
-
-def test_value_z_validation(d3_soft):
-    with pytest.raises(ZOutOfRange):
-        d3_soft.value(np.array([0.5, 1.0001]))
-    with pytest.raises(ZOutOfRange):
-        d3_soft.gradient(np.array([-0.2, 0.5]))

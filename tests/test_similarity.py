@@ -16,23 +16,20 @@ from cohortexplain import (
     ConfigError,
     Equality,
     RelativeRange,
-    SimilarityProfile,
     SimilaritySpec,
     TargetOutOfRange,
     UniquenessValue,
     ValueFunction,
-    ZOutOfRange,
     build_profile,
     cohort,
     conditional_curves,
     make_similarity_spec,
-    soft_similarity,
 )
 from cohortexplain.data import similarity_widths
 from cohortexplain.similarity import refinement_path, superset_tables
 
-from conftest import make_dataset, random_binary_profile
-from oracles import cohort_mean_brute, indicators_by_rule, refinement_path_dense
+from conftest import make_dataset, profile_from_indicators, random_binary_profile
+from oracles import cohort_mean_brute, indicators_by_rule, refinement_path_dense, soft_similarity
 
 
 def test_d3_profile(d3_dataset, d3_spec):
@@ -53,7 +50,7 @@ def test_profile_compares_by_identity(d3_profile):
 
 def test_profile_stores_one_read_only_dissimilarity_matrix(d3_dataset, d3_spec):
     S = np.array([[1, 1], [1, 0], [0, 0]], dtype=bool)
-    profile = SimilarityProfile.from_indicators(S, 0)
+    profile = profile_from_indicators(S, 0)
     D = profile.dissimilar
     np.testing.assert_array_equal(D, ~S)
     assert not D.flags.writeable and not profile.dissim_counts.flags.writeable
@@ -270,18 +267,18 @@ def refinement_cases(draw):
     responses = draw(hnp.arrays(float, n, elements=st.floats(-1.0, 1.0)))
     ordering = draw(st.permutations(range(d)))
     k = draw(st.one_of(st.just(d), st.integers(1, d)))
-    return SimilarityProfile.from_indicators(S, target), responses, ordering[:k]
+    return profile_from_indicators(S, target), responses, ordering[:k]
 
 
 def _all_dissimilar_case():
     """Rows 1 and 3 dissimilar on every feature, row 2 on none, S column-major."""
     S = np.zeros((4, 6), dtype=bool)
     S[[0, 2]] = True
-    profile = SimilarityProfile.from_indicators(np.asfortranarray(S), 0)
+    profile = profile_from_indicators(np.asfortranarray(S), 0)
     return profile, np.array([0.25, -1.0, 0.75, 1.0]), [5, 1, 4]
 
 
-ONE_ROW = (SimilarityProfile.from_indicators(np.ones((1, 3), bool), 0), np.array([0.5]), [2, 0])
+ONE_ROW = (profile_from_indicators(np.ones((1, 3), bool), 0), np.array([0.5]), [2, 0])
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -334,7 +331,7 @@ def test_refinement_path_matches_dense_oracle_bitwise(case):
 
 def test_sparse_rows_list_each_dissimilarity_set():
     S = np.array([[1, 1, 1, 1], [0, 1, 0, 1], [1, 1, 1, 1], [0, 0, 0, 0], [1, 1, 1, 0]], dtype=bool)
-    profile = SimilarityProfile.from_indicators(np.asfortranarray(S), 0)
+    profile = profile_from_indicators(np.asfortranarray(S), 0)
     assert "sparse_rows" not in vars(profile)  # built on first use only
     rows, starts, cols = profile.sparse_rows
     np.testing.assert_array_equal(rows, [1, 3, 4])
@@ -363,14 +360,15 @@ def test_cohort_always_contains_target():
 
 
 def test_soft_similarity_examples(d3_profile):
-    np.testing.assert_array_equal(soft_similarity(d3_profile, [0.0, 0.0]), [1, 1, 1])
-    np.testing.assert_allclose(soft_similarity(d3_profile, [0.5, 0.5]), [1.0, 0.5, 0.25])
+    D = d3_profile.dissimilar
+    np.testing.assert_array_equal(soft_similarity(D, [0.0, 0.0]), [1, 1, 1])
+    np.testing.assert_allclose(soft_similarity(D, [0.5, 0.5]), [1.0, 0.5, 0.25])
     # corners reproduce the binary indicators S_u
     for mask in range(4):
         z = np.array([(mask >> j) & 1 for j in range(2)], dtype=float)
         u = [j for j in range(2) if (mask >> j) & 1]
         expected = d3_profile.indicators[:, u].all(axis=1) if u else np.ones(3, bool)
-        np.testing.assert_array_equal(soft_similarity(d3_profile, z), expected.astype(float))
+        np.testing.assert_array_equal(soft_similarity(D, z), expected.astype(float))
 
 
 def test_soft_similarity_bounds_and_monotonicity():
@@ -378,29 +376,20 @@ def test_soft_similarity_bounds_and_monotonicity():
     profile = random_binary_profile(rng, n=25, d=9, target=3)
     for _ in range(50):
         z = rng.random(9)
-        s = soft_similarity(profile, z)
+        s = soft_similarity(profile.dissimilar, z)
         assert np.all(s >= 0.0) and np.all(s <= 1.0)
         assert s[3] == 1.0
         z_up = np.minimum(z + rng.random(9) * (1.0 - z), 1.0)
-        assert np.all(soft_similarity(profile, z_up) <= s + 1e-12)
+        assert np.all(soft_similarity(profile.dissimilar, z_up) <= s + 1e-12)
 
 
 def test_soft_similarity_diagonal_power_form():
     rng = np.random.default_rng(9)
     profile = random_binary_profile(rng, n=40, d=12, target=0)
     for alpha in [0.0, 0.25, 0.7, 1.0]:
-        s = soft_similarity(profile, np.full(12, alpha))
+        s = soft_similarity(profile.dissimilar, np.full(12, alpha))
         expected = (1.0 - alpha) ** profile.dissim_counts
         np.testing.assert_allclose(s, expected, atol=1e-14)
-
-
-def test_z_out_of_range(d3_profile):
-    with pytest.raises(ZOutOfRange):
-        soft_similarity(d3_profile, [0.5, 1.5])
-    with pytest.raises(ZOutOfRange):
-        soft_similarity(d3_profile, [-0.1, 0.5])
-    with pytest.raises(ZOutOfRange):
-        soft_similarity(d3_profile, [0.5])
 
 
 def test_equality_is_exact_float_equality():

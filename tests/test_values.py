@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -13,17 +14,15 @@ from cohortexplain import (
     ColumnKind,
     ComputationError,
     GkwValue,
-    SimilarityProfile,
     SingularCovariance,
     UniquenessValue,
     cohort,
     exact_shapley,
-    exhaustive_permutation_shapley,
 )
 from cohortexplain import shapley
 from cohortexplain.similarity import superset_tables
 
-from conftest import make_dataset, random_binary_profile, random_cohort_instance
+from conftest import make_dataset, profile_from_indicators, random_binary_profile, random_cohort_instance
 from oracles import (
     cohort_mean_brute,
     gkw_evaluate_cholesky,
@@ -180,19 +179,20 @@ def cohort_profiles(draw):
     target = draw(st.integers(0, n - 1))
     S[target] = True
     responses = draw(hnp.arrays(float, n, elements=st.floats(-1.0, 1.0)))
-    return SimilarityProfile.from_indicators(S, target), responses
+    return profile_from_indicators(S, target), responses
 
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(cohort_profiles())
 def test_lattice_matches_refinement_path(case):
-    """exact_shapley reads the 2^d lattice (all_values); the exhaustive
-    permutation engine reads the refinement kernel (permutation_increments)."""
+    """exact_shapley reads the 2^d lattice (all_values); the average of the
+    increments over all d! orders reads the refinement kernel
+    (permutation_increments)."""
     profile, responses = case
+    orders = np.array(list(itertools.permutations(range(profile.d))))
     for vf in (CohortValue(profile, responses), UniquenessValue(profile)):
-        np.testing.assert_allclose(
-            exact_shapley(vf).values, exhaustive_permutation_shapley(vf).values, rtol=0, atol=1e-12
-        )
+        by_orders = np.mean([vf.permutation_increments(order) for order in orders], axis=0)
+        np.testing.assert_allclose(exact_shapley(vf).values, by_orders, rtol=0, atol=1e-12)
 
 
 def _lattice(d):
