@@ -217,10 +217,13 @@ def _parse_table(data: list[list[str]], width: int) -> np.ndarray:
 
 def _read_rows(path, raw: bytes) -> tuple[list[str], list[list[str]]]:
     try:
-        reader = csv.reader(io.StringIO(raw.decode("utf-8"), newline=""))
-        rows = list(reader)
+        raw.decode("utf-8")  # whole, so that a bad byte's offset is the file's
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    # Read as open(path, newline="", encoding="utf-8") would, without a copy.
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""))
+    try:
+        rows = list(reader)
     except csv.Error as exc:
         raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
