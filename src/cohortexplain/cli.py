@@ -355,8 +355,8 @@ def _read_attribution_file(path) -> tuple[dict, list[tuple[str, dict]]]:
         raw.decode("utf-8")  # whole, so that a bad byte's offset is the file's
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
-    numbered = enumerate(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"), start=1)
-    lines = [(f"{path}:{no}", line) for no, line in numbered if line.strip()]
+    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+    lines = [(f"{path}:{no}", line) for no, line in enumerate(text, start=1) if line.strip()]
     if not lines:
         raise DataError(f"{path}: empty attribution file")
     where, line = lines[0]

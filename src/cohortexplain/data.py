@@ -220,8 +220,7 @@ def _read_rows(path, raw: bytes) -> tuple[list[str], list[list[str]]]:
         raw.decode("utf-8")  # whole, so that a bad byte's offset is the file's
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
-    # Read as open(path, newline="", encoding="utf-8") would, without a copy.
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""))
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""))  # as open() reads it
     try:
         rows = list(reader)
     except csv.Error as exc:
@@ -262,9 +261,10 @@ def _read_plain(raw: bytes) -> Optional[tuple[list[str], np.ndarray]]:
             or b"\n\n" in body or body.translate(None, _PLAIN_BYTES)
             or len(body) > limit and _longest_line(body) > limit):
         return None
+    del body  # loadtxt reads the file past its header line: one copy of the bytes, not two
     try:
         header = head.decode("utf-8").split(",")
-        table = np.loadtxt(io.BytesIO(body), delimiter=",", comments=None, ndmin=2, dtype=float)
+        table = np.loadtxt(io.BytesIO(raw), delimiter=",", comments=None, skiprows=1, ndmin=2, dtype=float)
     except ValueError:  # UnicodeDecodeError included
         return None
     if (len(set(header)) != len(header) or max(map(len, header)) > limit
