@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import threading
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -149,9 +150,10 @@ class Dataset:
     kinds: tuple[ColumnKind, ...]
     categories: tuple[Optional[tuple[str, ...]], ...]
     response_name: str = "y"
-    # The last (spec, widths) pair ``similarity_widths`` gave, replaced whole
-    # so that parallel workers always read a matching pair.
-    _widths: list = field(default_factory=lambda: [None], init=False, repr=False)
+    # The last ``SimilarityContext`` that ``similarity_context`` gave,
+    # replaced whole so that parallel workers always read a matching spec
+    # and widths; the contexts of one dataset share one ``LevelCodes``.
+    _similarity: list = field(default_factory=lambda: [None], init=False, repr=False)
 
     def __post_init__(self):
         feats = np.array(self.features, dtype=float)
@@ -418,16 +420,124 @@ def dataset_summary(ds: Dataset) -> str:
 # ---------------------------------------------------------------------------
 # Similarity specification helpers
 
-def similarity_widths(ds: Dataset, spec: SimilaritySpec) -> np.ndarray:
-    """Per-column widths w_j from each rule and the column's observed range:
-    row i is similar to target t on column j iff |x_ij - x_tj| <= w_j.
+@dataclass(frozen=True, eq=False)
+class LevelCodes:
+    """Every column's distinct values (its levels) in ascending order, and
+    each cell's rank among its column's levels.
 
-    The dataset keeps the widths of the last spec object it was given, so
-    the profiles of one command are built from one validated computation
-    (``make_similarity_spec`` makes it, before any worker starts)."""
-    last = ds._widths[0]
-    if last is not None and last[0] is spec:
-        return last[1]
+    ``levels[starts[j]:starts[j + 1]]`` are column j's levels and
+    ``codes[i, j]`` is the rank of x_ij among them, in the smallest unsigned
+    type that holds every rank: ``uint8`` when no column has more than 256
+    levels, else ``uint16`` or ``uint32``.  -0.0 and 0.0 are one level; no
+    similarity rule tells them apart.  ``steps`` halvings of a bracket take
+    a binary search over the longest column's levels down to one level.
+    """
+
+    codes: np.ndarray
+    levels: np.ndarray
+    starts: np.ndarray
+    steps: int
+
+
+# A table is coded only when at most this share of its columns has more
+# than two levels.  Sorting a column costs as much as tens of float compares
+# of it, while a profile from codes saves a fraction of one; coded or not,
+# D is the same matrix.
+SORTED_SHARE_MAX = 0.125
+
+
+def code_levels(features: np.ndarray) -> Optional[LevelCodes]:
+    """The ``LevelCodes`` of an n x d matrix of finite reals, or None when
+    more than ``SORTED_SHARE_MAX`` of its columns have more than two levels.
+
+    A column whose every value is its minimum or its maximum has at most
+    two levels and is coded by that check alone.  The other columns are
+    sorted together, in one ``argsort`` over a contiguous transposed copy,
+    and a cell's code is the number of distinct values below it.  No step
+    loops over the columns in Python.
+    """
+    X = features
+    d = X.shape[1]
+    low, high = X.min(axis=0), X.max(axis=0)
+    at_low = X == low
+    two_or_fewer = (at_low | (X == high)).all(axis=0)
+    many = np.flatnonzero(~two_or_fewer)
+    if many.size > SORTED_SHARE_MAX * d:
+        return None
+    counts = np.where(two_or_fewer, 1 + (low != high), 0)
+    if many.size:
+        cols = np.ascontiguousarray(X[:, many].T)
+        order = cols.argsort(axis=1)
+        ranked = np.take_along_axis(cols, order, axis=1)
+        new = np.empty(ranked.shape, dtype=bool)
+        new[:, 0] = True
+        np.not_equal(ranked[:, 1:], ranked[:, :-1], out=new[:, 1:])
+        rank = new.cumsum(axis=1) - 1
+        counts[many] = rank[:, -1] + 1
+    starts = np.zeros(d + 1, dtype=np.intp)
+    np.cumsum(counts, out=starts[1:])
+    dtype = np.min_scalar_type(int(counts.max()) - 1)
+    codes = np.logical_not(at_low).view(np.uint8).astype(dtype, copy=False)
+    levels = np.empty(starts[-1])
+    levels[starts[:-1]] = low
+    two = np.flatnonzero(two_or_fewer & (low != high))
+    levels[starts[two] + 1] = high[two]
+    if many.size:
+        inverse = np.empty(cols.shape, dtype=dtype)
+        np.put_along_axis(inverse, order, rank, axis=1)
+        codes[:, many] = inverse.T
+        levels[(starts[many, np.newaxis] + rank)[new]] = ranked[new]
+    for arr in (codes, levels, starts):
+        arr.setflags(write=False)
+    return LevelCodes(codes, levels, starts, int(counts.max() - 1).bit_length())
+
+
+class _LazyLevelCodes:
+    """A dataset's ``code_levels``, computed on the first request and only
+    once, however many threads ask at the same time."""
+
+    def __init__(self, features: np.ndarray):
+        self._features = features
+        self._done = False
+        self._codes: Optional[LevelCodes] = None
+        self._lock = threading.Lock()
+
+    def get(self) -> Optional[LevelCodes]:
+        if not self._done:
+            with self._lock:
+                if not self._done:
+                    self._codes = code_levels(self._features)
+                    self._done = True
+        return self._codes
+
+
+@dataclass(frozen=True, eq=False)
+class SimilarityContext:
+    """What every profile of one (dataset, spec) reads: the validated
+    widths w_j, computed when the context is made, and the dataset's
+    ``LevelCodes`` (None for a table that is not coded), computed by the
+    first ``level_codes()`` call, that is by the first profile.  The codes
+    do not depend on the rules, so the contexts of one dataset share them."""
+
+    spec: SimilaritySpec
+    widths: np.ndarray
+    _codes: _LazyLevelCodes = field(repr=False)
+
+    def level_codes(self) -> Optional[LevelCodes]:
+        return self._codes.get()
+
+
+def similarity_context(ds: Dataset, spec: SimilaritySpec) -> SimilarityContext:
+    """The context of (ds, spec).
+
+    The dataset keeps the context of the last spec object it was given, so
+    the profiles of one command read one validated computation of the
+    widths (``make_similarity_spec`` makes it, before any worker starts) and
+    one coding of the levels.  Another spec object is validated against the
+    dataset and replaces the memo whole."""
+    last = ds._similarity[0]
+    if last is not None and last.spec is spec:
+        return last
     if len(spec.rules) != ds.d:
         raise ConfigError(f"spec has {len(spec.rules)} rules for {ds.d} columns")
     for name, rule, kind in zip(ds.column_names, spec.rules, ds.kinds):
@@ -435,8 +545,16 @@ def similarity_widths(ds: Dataset, spec: SimilaritySpec) -> np.ndarray:
             raise ConfigError(f"categorical column {name!r} must use the equality rule")
     widths = np.array([rule.column_width(r) for rule, r in zip(spec.rules, feature_ranges(ds))])
     widths.setflags(write=False)
-    ds._widths[0] = (spec, widths)
-    return widths
+    codes = last._codes if last is not None else _LazyLevelCodes(ds.features)
+    context = SimilarityContext(spec, widths, codes)
+    ds._similarity[0] = context
+    return context
+
+
+def similarity_widths(ds: Dataset, spec: SimilaritySpec) -> np.ndarray:
+    """Per-column widths w_j from each rule and the column's observed range:
+    row i is similar to target t on column j iff |x_ij - x_tj| <= w_j."""
+    return similarity_context(ds, spec).widths
 
 
 def make_similarity_spec(

@@ -6,7 +6,8 @@ in the dissimilarity set J_i of observation i, w_j being the width of the
 column's rule.  That boolean matrix, held by the profile, and the counts
 |J_i| are the only representation of the sets; every cohort, refinement
 path and subset-lattice table is computed from them, here, and IGCS reads
-the same matrix.
+the same matrix.  ``build_profile`` computes D from the dataset's level
+codes (``data.LevelCodes``) where the dataset has them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, SimilaritySpec, similarity_widths
+from .data import Dataset, LevelCodes, SimilaritySpec, similarity_context
 from .errors import TargetOutOfRange
 from .shapley import check_lattice
 
@@ -30,11 +31,12 @@ class SimilarityProfile:
     not similar to the target on feature j; ``dissim_counts[i]`` is |J_i|.
     The profile keeps a read-only view of the matrix it is given.  The
     target row is all-similar, so J_t is empty.  ``indicators`` is the
-    derived similarity matrix ~D.  ``sparse_rows`` lists the members of
-    each non-empty J_i, built from D on first use (O(nd) once, index arrays
-    of nnz(D) entries) for the refinement kernel; engines that never walk
-    an ordering, like IGCS, never build it.  Profiles compare and hash by
-    identity.
+    derived similarity matrix ~D.  The counts are one sum of D's bytes in
+    ``uint16`` (when d < 65536), cast to ``intp``.  ``sparse_rows`` lists
+    the members of each non-empty J_i, built from D on first use (O(nd)
+    once, index arrays of nnz(D) entries) for the refinement kernel;
+    engines that never walk an ordering, like IGCS, never build it.
+    Profiles compare and hash by identity.
     """
 
     target_index: int
@@ -50,7 +52,8 @@ class SimilarityProfile:
             raise TargetOutOfRange(self.target_index, D.shape[0])
         if D[self.target_index].any():
             raise ValueError("target row must be similar to itself on every feature")
-        counts = D.sum(axis=1)
+        counts = D.view(np.uint8).sum(axis=1, dtype=np.uint16 if self.d < 1 << 16 else np.intp)
+        counts = counts.astype(np.intp, copy=False)
         for arr in (D, counts):
             arr.setflags(write=False)
         object.__setattr__(self, "dissimilar", D)
@@ -80,13 +83,62 @@ class SimilarityProfile:
 
 
 def build_profile(ds: Dataset, spec: SimilaritySpec, target_index: int) -> SimilarityProfile:
-    """D[i, j] = |x_ij - x_tj| > w_j for one target t, w from ``similarity_widths``."""
+    """D[i, j] = |x_ij - x_tj| > w_j for one target t, with the widths w and
+    the level codes of the (ds, spec) context (``data.similarity_context``).
+
+    Float subtraction and ``abs`` round monotonically, so the levels of
+    column j similar to x_tj, those with ``not |level - x_tj| > w_j``, are
+    one run [lo_j, lo_j + span_j] of the column's sorted levels; that holds
+    with ties, signed zeros, differences that overflow to inf and widths of
+    0 or inf.  ``_similar_runs`` finds each run by binary search, evaluating
+    that predicate on O(d log L) levels, and then D is one compare of the
+    small unsigned codes, ``(codes - lo) > span`` in wraparound arithmetic.
+    A table without codes (most of its columns have more than two levels)
+    is compared directly, |X - x_t| > w.
+    """
     if not 0 <= target_index < ds.n:
         raise TargetOutOfRange(target_index, ds.n)
-    widths = similarity_widths(ds, spec)
-    diff = ds.features - ds.features[target_index]
-    np.abs(diff, out=diff)
-    return SimilarityProfile(target_index, ds.d, diff > widths)
+    context = similarity_context(ds, spec)
+    coded = context.level_codes()
+    if coded is None:
+        diff = ds.features - ds.features[target_index]
+        np.abs(diff, out=diff)
+        return SimilarityProfile(target_index, ds.d, diff > context.widths)
+    codes = coded.codes
+    lo, span = _similar_runs(coded, ds.features[target_index], codes[target_index], context.widths)
+    dissimilar = np.subtract(codes, lo.astype(codes.dtype), dtype=codes.dtype) > span.astype(codes.dtype)
+    return SimilarityProfile(target_index, ds.d, dissimilar)
+
+
+def _similar_runs(coded: LevelCodes, x: np.ndarray, own: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, span): the run of each column's levels similar to x, as the rank
+    of its first level and its length minus one.
+
+    Both ends are found at once by a binary search over the 2d brackets
+    [first level, own level] (the first similar level, since the levels
+    below it are all dissimilar) and [own level, last level] (the last
+    similar one).  A bracket that holds one level stays put, so all of them
+    take the same ``coded.steps`` halvings.  The differences of finite reals
+    are never NaN, so ``<=`` is the negated ``>`` of the rule.
+    """
+    d = len(x)
+    first = coded.starts[:-1]
+    mine = first + own
+    a = np.concatenate([first, mine])
+    b = np.concatenate([mine, coded.starts[1:] - 1])
+    upper = np.repeat(np.array([0, 1], dtype=np.intp), d)
+    is_upper = upper.astype(bool)
+    x2, w2 = np.concatenate([x, x]), np.concatenate([widths, widths])
+    for _ in range(coded.steps):
+        mid = (a + b + upper) >> 1
+        similar = np.abs(coded.levels[mid] - x2) <= w2
+        # lower end: similar -> b = mid, else a = mid + 1;
+        # upper end: similar -> a = mid, else b = mid - 1
+        move_b = similar != is_upper
+        b = np.where(move_b, mid - upper, b)
+        a = np.where(move_b, a, mid + 1 - upper)
+    lo = a[:d]
+    return lo - first, a[d:] - lo
 
 
 def feature_subset(u, d: int) -> list[int]:

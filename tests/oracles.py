@@ -43,12 +43,10 @@ def shapley_by_permutations(evaluate, d):
 
 
 def cohort_mean_brute(indicators, responses, u):
-    """Mean response over rows similar on every feature in u, from scratch."""
-    members = [
-        i for i in range(indicators.shape[0])
-        if all(indicators[i, j] for j in u)
-    ]
-    return float(np.mean([responses[i] for i in members]))
+    """Mean response over rows similar on every feature in u, from scratch:
+    the columns of u gathered and AND-ed across each row."""
+    members = np.asarray(indicators)[:, np.asarray(u, dtype=np.intp)].all(axis=1)
+    return float(np.mean(np.asarray(responses)[members]))
 
 
 def refinement_path_dense(profile, ordering, responses=None):
@@ -197,6 +195,15 @@ def indicators_by_rule(ds, spec, target):
         else:
             S[:, j] = np.abs(X[:, j] - xt[j]) <= rule.width
     return S
+
+
+def dissimilar_by_broadcast(features, widths, target):
+    """D = |X - x_t| > w in one float broadcast over the whole table, and
+    the counts |J_i| as its row sums."""
+    diff = features - features[target]
+    np.abs(diff, out=diff)
+    D = diff > widths
+    return D, D.sum(axis=1)
 
 
 def exact_shapley_by_columns(vals, d):

@@ -1,5 +1,7 @@
 import dataclasses
+import importlib.util
 import math
+import pathlib
 import sys
 import threading
 
@@ -25,11 +27,18 @@ from cohortexplain import (
     conditional_curves,
     make_similarity_spec,
 )
-from cohortexplain.data import similarity_widths
+from cohortexplain import data
+from cohortexplain.data import similarity_context, similarity_widths
 from cohortexplain.similarity import refinement_path, superset_tables
 
 from conftest import make_dataset, profile_from_indicators, random_binary_profile
-from oracles import cohort_mean_brute, indicators_by_rule, refinement_path_dense, soft_similarity
+from oracles import (
+    cohort_mean_brute,
+    dissimilar_by_broadcast,
+    indicators_by_rule,
+    refinement_path_dense,
+    soft_similarity,
+)
 
 
 def test_d3_profile(d3_dataset, d3_spec):
@@ -150,6 +159,115 @@ def test_build_profile_matches_rule_oracle(table):
         np.testing.assert_array_equal(profile.indicators, expected)
 
 
+def check_profiles_match_broadcast(ds, spec):
+    """D and the counts |J_i| of every target, byte for byte and dtype for
+    dtype, against one float broadcast over the table."""
+    with np.errstate(over="ignore"):  # overflowing differences are inf
+        widths = similarity_widths(ds, spec)
+    for t in range(ds.n):
+        with np.errstate(over="ignore"):
+            D, counts = dissimilar_by_broadcast(ds.features, widths, t)
+            profile = build_profile(ds, spec, t)
+        assert profile.dissimilar.dtype == D.dtype and profile.dissimilar.tobytes() == D.tobytes()
+        assert profile.dissim_counts.dtype == counts.dtype
+        assert profile.dissim_counts.tobytes() == counts.tobytes()
+
+
+@st.composite
+def gap_width_tables(draw):
+    """``mixed_tables`` where some numeric columns get an absolute width
+    equal to the gap between two of their values, the rule's boundary."""
+    ds, spec = draw(mixed_tables())
+    rules = list(spec.rules)
+    for j in range(ds.d):
+        if ds.kinds[j] is ColumnKind.NUMERIC and draw(st.booleans()):
+            i, k = draw(st.integers(0, ds.n - 1)), draw(st.integers(0, ds.n - 1))
+            with np.errstate(over="ignore"):
+                rules[j] = AbsoluteRange(float(abs(ds.features[i, j] - ds.features[k, j])))
+    return ds, SimilaritySpec(tuple(rules))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(gap_width_tables())
+def test_coded_profile_matches_broadcast(table):
+    ds, spec = table
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
+        mp.setattr(data, "SORTED_SHARE_MAX", 1.0)  # code every table
+        assert similarity_context(ds, spec).level_codes() is not None
+        check_profiles_match_broadcast(ds, spec)
+
+
+@st.composite
+def many_level_tables(draw):
+    """257-300 rows: a column with a distinct value per row, so the codes
+    need ``uint16``, beside tied, two-level and signed-zero columns."""
+    n = draw(st.integers(257, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    step = draw(st.sampled_from([1.0, 0.1, 5e-324, 1e305]))
+    X = np.column_stack([
+        rng.permutation(n) * step - (n // 2) * step,
+        np.round(rng.normal(size=n), 1),
+        rng.integers(0, 2, size=n) * draw(st.sampled_from([1.0, 1e308])),
+        np.where(rng.random(n) < 0.5, -0.0, 0.0),
+    ])
+    rules = tuple(draw(RULES) for _ in range(X.shape[1]))
+    return make_dataset(X, np.zeros(n)), SimilaritySpec(rules)
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(many_level_tables())
+def test_coded_profile_with_more_than_256_levels(table):
+    ds, spec = table
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
+        mp.setattr(data, "SORTED_SHARE_MAX", 1.0)
+        coded = similarity_context(ds, spec).level_codes()
+        assert coded.codes.dtype == np.uint16
+        distinct = [np.unique(column) for column in ds.features.T]  # -0.0 == 0.0
+        np.testing.assert_array_equal(np.diff(coded.starts), [len(u) for u in distinct])
+        np.testing.assert_array_equal(coded.levels, np.concatenate(distinct))
+        np.testing.assert_array_equal(np.diff(coded.starts)[[0, 3]], [ds.n, 1])
+        check_profiles_match_broadcast(ds, spec)
+
+
+def test_codes_widen_to_uint32(monkeypatch):
+    monkeypatch.setattr(data, "SORTED_SHARE_MAX", 1.0)
+    rng = np.random.default_rng(4)
+    X = np.column_stack([rng.permutation(70_000) / 7.0, rng.integers(0, 2, 70_000)])
+    coded = data.code_levels(X)
+    assert coded.codes.dtype == np.uint32 and coded.steps == 17
+    np.testing.assert_array_equal(coded.codes[:, 0], np.unique(X[:, 0], return_inverse=True)[1])
+    ds = make_dataset(X, np.zeros(len(X)))
+    spec = SimilaritySpec((AbsoluteRange(1000.0), Equality()))
+    for t in (0, 12_345):
+        np.testing.assert_array_equal(build_profile(ds, spec, t).dissimilar,
+                                      dissimilar_by_broadcast(X, similarity_widths(ds, spec), t)[0])
+
+
+def _bench_workloads():
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_which_tables_are_coded():
+    """The benchmark's 0/1 table is coded in ``uint8`` and needs one search
+    step; a table where most columns have many levels is not coded, and its
+    profiles come from the float compare."""
+    X, y = _bench_workloads().sparse_binary(1, 250, 1024, 20)
+    ds = make_dataset(X.astype(float), y)
+    coded = similarity_context(ds, make_similarity_spec(ds)).level_codes()
+    assert coded.codes.dtype == np.uint8 and coded.steps == 1
+    assert coded.codes.flags.c_contiguous and not coded.codes.flags.writeable
+    rng = np.random.default_rng(2)
+    ds = make_dataset(np.column_stack([rng.integers(0, 2, 60), rng.normal(size=(60, 3))]), np.zeros(60))
+    spec = make_similarity_spec(ds)
+    assert similarity_context(ds, spec).level_codes() is None
+    check_profiles_match_broadcast(ds, spec)
+
+
 @pytest.mark.parametrize("rule", [RelativeRange(1.0), AbsoluteRange(0.0)], ids=["relative", "absolute"])
 def test_categorical_column_needs_equality(rule):
     ds = make_dataset([[0.0, 1.0], [1.0, 0.0]], [0, 0], kinds=(ColumnKind.NUMERIC, ColumnKind.CATEGORICAL))
@@ -197,6 +315,36 @@ def test_widths_memo_gives_each_thread_its_own_spec():
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
     assert wrong == []
+
+
+def test_level_codes_built_once_across_threads(monkeypatch):
+    """Workers whose first profiles of a fresh dataset start together code
+    its levels once, and each gets its own target's D."""
+    X = (np.random.default_rng(5).random((50, 40)) < 0.3) * 1.0
+    ds = make_dataset(X, np.zeros(50))
+    spec = make_similarity_spec(ds)
+    expected = [dissimilar_by_broadcast(X, similarity_widths(ds, spec), k)[0] for k in range(8)]
+    codings, wrong = [], []
+    original = data.code_levels
+    monkeypatch.setattr(data, "code_levels", lambda X: codings.append(1) or original(X))
+
+    def hammer(k):
+        for _ in range(200):
+            if not np.array_equal(build_profile(ds, spec, k).dissimilar, expected[k]):
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=hammer, args=(k,)) for k in range(len(expected))]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert codings == [1] and wrong == []
 
 
 def test_target_out_of_range(d3_dataset, d3_spec):
