@@ -458,9 +458,19 @@ def code_levels(features: np.ndarray) -> Optional[LevelCodes]:
     """
     X = features
     d = X.shape[1]
+    # A column with three distinct values among the first rows has more
+    # than two levels, so those rows alone often show that a table is not
+    # coded.
+    head = X[:16]
+    third = (head != head.min(axis=0)) & (head != head.max(axis=0))
+    if third.any(axis=0).sum() > SORTED_SHARE_MAX * d:
+        return None
     low, high = X.min(axis=0), X.max(axis=0)
     at_low = X == low
-    two_or_fewer = (at_low | (X == high)).all(axis=0)
+    at_high = X == high
+    np.logical_or(at_high, at_low, out=at_high)
+    two_or_fewer = at_high.all(axis=0)
+    del at_high
     many = np.flatnonzero(~two_or_fewer)
     if many.size > SORTED_SHARE_MAX * d:
         return None
@@ -477,7 +487,7 @@ def code_levels(features: np.ndarray) -> Optional[LevelCodes]:
     starts = np.zeros(d + 1, dtype=np.intp)
     np.cumsum(counts, out=starts[1:])
     dtype = np.min_scalar_type(int(counts.max()) - 1)
-    codes = np.logical_not(at_low).view(np.uint8).astype(dtype, copy=False)
+    codes = np.logical_not(at_low, out=at_low).view(np.uint8).astype(dtype, copy=False)
     levels = np.empty(starts[-1])
     levels[starts[:-1]] = low
     two = np.flatnonzero(two_or_fewer & (low != high))

@@ -262,10 +262,14 @@ def test_which_tables_are_coded():
     assert coded.codes.dtype == np.uint8 and coded.steps == 1
     assert coded.codes.flags.c_contiguous and not coded.codes.flags.writeable
     rng = np.random.default_rng(2)
-    ds = make_dataset(np.column_stack([rng.integers(0, 2, 60), rng.normal(size=(60, 3))]), np.zeros(60))
-    spec = make_similarity_spec(ds)
-    assert similarity_context(ds, spec).level_codes() is None
-    check_profiles_match_broadcast(ds, spec)
+    many = rng.normal(size=(60, 3))
+    late = many.copy()
+    late[:20] = rng.integers(0, 2, (20, 3))  # two levels in the first rows only
+    for X in (many, late):
+        ds = make_dataset(np.column_stack([rng.integers(0, 2, 60), X]), np.zeros(60))
+        spec = make_similarity_spec(ds)
+        assert similarity_context(ds, spec).level_codes() is None
+        check_profiles_match_broadcast(ds, spec)
 
 
 @pytest.mark.parametrize("rule", [RelativeRange(1.0), AbsoluteRange(0.0)], ids=["relative", "absolute"])
