@@ -32,7 +32,7 @@ class SimilarityProfile:
     The profile keeps a read-only view of the matrix it is given.  The
     target row is all-similar, so J_t is empty.  ``indicators`` is the
     derived similarity matrix ~D.  The counts are one sum of D's bytes in
-    ``uint16`` (when d < 65536), cast to ``intp``.  ``sparse_rows`` lists
+    the smallest unsigned type that holds d, cast to ``intp``.  ``sparse_rows`` lists
     the members of each non-empty J_i, built from D on first use (O(nd)
     once, index arrays of nnz(D) entries) for the refinement kernel;
     engines that never walk an ordering, like IGCS, never build it.
@@ -52,8 +52,7 @@ class SimilarityProfile:
             raise TargetOutOfRange(self.target_index, D.shape[0])
         if D[self.target_index].any():
             raise ValueError("target row must be similar to itself on every feature")
-        counts = D.view(np.uint8).sum(axis=1, dtype=np.uint16 if self.d < 1 << 16 else np.intp)
-        counts = counts.astype(np.intp, copy=False)
+        counts = D.view(np.uint8).sum(axis=1, dtype=np.min_scalar_type(self.d)).astype(np.intp)
         for arr in (D, counts):
             arr.setflags(write=False)
         object.__setattr__(self, "dissimilar", D)

@@ -321,6 +321,17 @@ def test_widths_memo_gives_each_thread_its_own_spec():
     assert wrong == []
 
 
+@pytest.mark.parametrize("d", [255, 256, 65536])
+def test_counts_hold_a_full_row(d):
+    """|J_i| = d for a row dissimilar on every feature, whatever the width
+    of the sum that counts it."""
+    S = np.zeros((2, d), dtype=bool)
+    S[0] = True
+    profile = profile_from_indicators(S, 0)
+    assert profile.dissim_counts.dtype == np.intp
+    np.testing.assert_array_equal(profile.dissim_counts, [0, d])
+
+
 def test_level_codes_built_once_across_threads(monkeypatch):
     """Workers whose first profiles of a fresh dataset start together code
     its levels once, and each gets its own target's D."""
