@@ -32,11 +32,11 @@ class SimilarityProfile:
     The profile keeps a read-only view of the matrix it is given.  The
     target row is all-similar, so J_t is empty.  ``indicators`` is the
     derived similarity matrix ~D.  The counts are one sum of D's bytes in
-    the smallest unsigned type that holds d, cast to ``intp``.  ``sparse_rows`` lists
-    the members of each non-empty J_i, built from D on first use (O(nd)
-    once, index arrays of nnz(D) entries) for the refinement kernel;
-    engines that never walk an ordering, like IGCS, never build it.
-    Profiles compare and hash by identity.
+    the smallest unsigned type that holds d, cast to ``intp``.
+    ``sparse_rows`` lists the members of each non-empty J_i, built from D
+    on first use (O(nd) once, index arrays of nnz(D) entries) for the
+    refinement kernel; engines that never walk an ordering, like IGCS,
+    never build it.  Profiles compare and hash by identity.
     """
 
     target_index: int
