@@ -152,7 +152,7 @@ class Dataset:
     response_name: str = "y"
     # The last ``SimilarityContext`` that ``similarity_context`` gave,
     # replaced whole so that parallel workers always read a matching spec
-    # and widths; the contexts of one dataset share one ``LevelCodes``.
+    # and widths.
     _similarity: list = field(default_factory=lambda: [None], init=False, repr=False)
 
     def __post_init__(self):
@@ -421,120 +421,51 @@ def dataset_summary(ds: Dataset) -> str:
 # Similarity specification helpers
 
 @dataclass(frozen=True, eq=False)
-class LevelCodes:
-    """Every column's distinct values (its levels) in ascending order, and
-    each cell's rank among its column's levels.
-
-    ``levels[starts[j]:starts[j + 1]]`` are column j's levels and
-    ``codes[i, j]`` is the rank of x_ij among them, in the smallest unsigned
-    type that holds every rank: ``uint8`` when no column has more than 256
-    levels, else ``uint16`` or ``uint32``.  -0.0 and 0.0 are one level; no
-    similarity rule tells them apart.  ``steps`` halvings of a bracket take
-    a binary search over the longest column's levels down to one level.
+class TwoLevelCodes:
+    """A table whose every column takes at most two values, its minimum
+    ``low[j]`` and its maximum ``high[j]``: ``at_high[i, j]`` is x_ij ==
+    high_j.  -0.0 and 0.0 are one value; no similarity rule tells them apart.
     """
 
-    codes: np.ndarray
-    levels: np.ndarray
-    starts: np.ndarray
-    steps: int
+    at_high: np.ndarray
+    low: np.ndarray
+    high: np.ndarray
 
 
-# A table is coded only when at most this share of its columns has more
-# than two levels.  Sorting a column costs as much as tens of float compares
-# of it, while a profile from codes saves a fraction of one; coded or not,
-# D is the same matrix.
-SORTED_SHARE_MAX = 0.125
-
-
-def code_levels(features: np.ndarray) -> Optional[LevelCodes]:
-    """The ``LevelCodes`` of an n x d matrix of finite reals, or None when
-    more than ``SORTED_SHARE_MAX`` of its columns have more than two levels.
-
-    A column whose every value is its minimum or its maximum has at most
-    two levels and is coded by that check alone.  The other columns are
-    sorted together, in one ``argsort`` over a contiguous transposed copy,
-    and a cell's code is the number of distinct values below it.  No step
-    loops over the columns in Python.
-    """
-    X = features
-    d = X.shape[1]
-    # A column with three distinct values among the first rows has more
-    # than two levels, so those rows alone often show that a table is not
-    # coded.
-    head = X[:16]
-    third = (head != head.min(axis=0)) & (head != head.max(axis=0))
-    if third.any(axis=0).sum() > SORTED_SHARE_MAX * d:
+def code_two_levels(features: np.ndarray) -> Optional[TwoLevelCodes]:
+    """The ``TwoLevelCodes`` of an n x d matrix of finite reals, or None when
+    some column has more than two distinct values: one min/max check."""
+    low, high = features.min(axis=0), features.max(axis=0)
+    at_high = features == high
+    if not (at_high | (features == low)).all():
         return None
-    low, high = X.min(axis=0), X.max(axis=0)
-    at_low = X == low
-    at_high = X == high
-    np.logical_or(at_high, at_low, out=at_high)
-    two_or_fewer = at_high.all(axis=0)
-    del at_high
-    many = np.flatnonzero(~two_or_fewer)
-    if many.size > SORTED_SHARE_MAX * d:
-        return None
-    counts = np.where(two_or_fewer, 1 + (low != high), 0)
-    if many.size:
-        cols = np.ascontiguousarray(X[:, many].T)
-        order = cols.argsort(axis=1)
-        ranked = np.take_along_axis(cols, order, axis=1)
-        new = np.empty(ranked.shape, dtype=bool)
-        new[:, 0] = True
-        np.not_equal(ranked[:, 1:], ranked[:, :-1], out=new[:, 1:])
-        rank = new.cumsum(axis=1) - 1
-        counts[many] = rank[:, -1] + 1
-    starts = np.zeros(d + 1, dtype=np.intp)
-    np.cumsum(counts, out=starts[1:])
-    dtype = np.min_scalar_type(int(counts.max()) - 1)
-    codes = np.logical_not(at_low, out=at_low).view(np.uint8).astype(dtype, copy=False)
-    levels = np.empty(starts[-1])
-    levels[starts[:-1]] = low
-    two = np.flatnonzero(two_or_fewer & (low != high))
-    levels[starts[two] + 1] = high[two]
-    if many.size:
-        inverse = np.empty(cols.shape, dtype=dtype)
-        np.put_along_axis(inverse, order, rank, axis=1)
-        codes[:, many] = inverse.T
-        levels[(starts[many, np.newaxis] + rank)[new]] = ranked[new]
-    for arr in (codes, levels, starts):
+    for arr in (at_high, low, high):
         arr.setflags(write=False)
-    return LevelCodes(codes, levels, starts, int(counts.max() - 1).bit_length())
+    return TwoLevelCodes(at_high, low, high)
 
 
-class _LazyLevelCodes:
-    """A dataset's ``code_levels``, computed on the first request and only
-    once, however many threads ask at the same time."""
-
-    def __init__(self, features: np.ndarray):
-        self._features = features
-        self._done = False
-        self._codes: Optional[LevelCodes] = None
-        self._lock = threading.Lock()
-
-    def get(self) -> Optional[LevelCodes]:
-        if not self._done:
-            with self._lock:
-                if not self._done:
-                    self._codes = code_levels(self._features)
-                    self._done = True
-        return self._codes
-
-
-@dataclass(frozen=True, eq=False)
 class SimilarityContext:
     """What every profile of one (dataset, spec) reads: the validated
     widths w_j, computed when the context is made, and the dataset's
-    ``LevelCodes`` (None for a table that is not coded), computed by the
-    first ``level_codes()`` call, that is by the first profile.  The codes
-    do not depend on the rules, so the contexts of one dataset share them."""
+    ``TwoLevelCodes`` (None for a table with a column of more than two
+    values), computed by the first ``two_level_codes()`` call, that is by
+    the first profile, and only once however many workers ask together."""
 
-    spec: SimilaritySpec
-    widths: np.ndarray
-    _codes: _LazyLevelCodes = field(repr=False)
+    def __init__(self, spec: SimilaritySpec, widths: np.ndarray, features: np.ndarray):
+        self.spec = spec
+        self.widths = widths
+        self._features = features
+        self._codes: Optional[TwoLevelCodes] = None
+        self._coded = False
+        self._lock = threading.Lock()
 
-    def level_codes(self) -> Optional[LevelCodes]:
-        return self._codes.get()
+    def two_level_codes(self) -> Optional[TwoLevelCodes]:
+        if not self._coded:
+            with self._lock:
+                if not self._coded:
+                    self._codes = code_two_levels(self._features)
+                    self._coded = True
+        return self._codes
 
 
 def similarity_context(ds: Dataset, spec: SimilaritySpec) -> SimilarityContext:
@@ -543,7 +474,7 @@ def similarity_context(ds: Dataset, spec: SimilaritySpec) -> SimilarityContext:
     The dataset keeps the context of the last spec object it was given, so
     the profiles of one command read one validated computation of the
     widths (``make_similarity_spec`` makes it, before any worker starts) and
-    one coding of the levels.  Another spec object is validated against the
+    one coding of the table.  Another spec object is validated against the
     dataset and replaces the memo whole."""
     last = ds._similarity[0]
     if last is not None and last.spec is spec:
@@ -555,8 +486,7 @@ def similarity_context(ds: Dataset, spec: SimilaritySpec) -> SimilarityContext:
             raise ConfigError(f"categorical column {name!r} must use the equality rule")
     widths = np.array([rule.column_width(r) for rule, r in zip(spec.rules, feature_ranges(ds))])
     widths.setflags(write=False)
-    codes = last._codes if last is not None else _LazyLevelCodes(ds.features)
-    context = SimilarityContext(spec, widths, codes)
+    context = SimilarityContext(spec, widths, ds.features)
     ds._similarity[0] = context
     return context
 

@@ -6,8 +6,7 @@ in the dissimilarity set J_i of observation i, w_j being the width of the
 column's rule.  That boolean matrix, held by the profile, and the counts
 |J_i| are the only representation of the sets; every cohort, refinement
 path and subset-lattice table is computed from them, here, and IGCS reads
-the same matrix.  ``build_profile`` computes D from the dataset's level
-codes (``data.LevelCodes``) where the dataset has them.
+the same matrix.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, LevelCodes, SimilaritySpec, similarity_context
+from .data import Dataset, SimilaritySpec, similarity_context
 from .errors import TargetOutOfRange
 from .shapley import check_lattice
 
@@ -82,62 +81,31 @@ class SimilarityProfile:
 
 
 def build_profile(ds: Dataset, spec: SimilaritySpec, target_index: int) -> SimilarityProfile:
-    """D[i, j] = |x_ij - x_tj| > w_j for one target t, with the widths w and
-    the level codes of the (ds, spec) context (``data.similarity_context``).
+    """D[i, j] = |x_ij - x_tj| > w_j for one target t, with the widths w of
+    the (ds, spec) context (``data.similarity_context``).
 
-    Float subtraction and ``abs`` round monotonically, so the levels of
-    column j similar to x_tj, those with ``not |level - x_tj| > w_j``, are
-    one run [lo_j, lo_j + span_j] of the column's sorted levels; that holds
-    with ties, signed zeros, differences that overflow to inf and widths of
-    0 or inf.  ``_similar_runs`` finds each run by binary search, evaluating
-    that predicate on O(d log L) levels, and then D is one compare of the
-    small unsigned codes, ``(codes - lo) > span`` in wraparound arithmetic.
-    A table without codes (most of its columns have more than two levels)
-    is compared directly, |X - x_t| > w.
+    Where every column takes at most two values (the context's
+    ``TwoLevelCodes``), x_ij either equals x_tj, which is similar to itself,
+    or is column j's other value, so D[i, j] holds iff x_ij != x_tj and that
+    other value is dissimilar to x_tj: one boolean compare of the table and
+    one float compare per column, instead of a float subtract, abs and
+    compare of the table.  Other tables take the float broadcast.  D is the
+    same matrix either way.
     """
     if not 0 <= target_index < ds.n:
         raise TargetOutOfRange(target_index, ds.n)
     context = similarity_context(ds, spec)
-    coded = context.level_codes()
+    x = ds.features[target_index]
+    coded = context.two_level_codes()
     if coded is None:
-        diff = ds.features - ds.features[target_index]
+        diff = ds.features - x
         np.abs(diff, out=diff)
         return SimilarityProfile(target_index, ds.d, diff > context.widths)
-    codes = coded.codes
-    lo, span = _similar_runs(coded, ds.features[target_index], codes[target_index], context.widths)
-    dissimilar = np.subtract(codes, lo.astype(codes.dtype), dtype=codes.dtype) > span.astype(codes.dtype)
+    own = coded.at_high[target_index]
+    other = np.where(own, coded.low, coded.high)
+    dissimilar = coded.at_high != own
+    dissimilar &= np.abs(other - x) > context.widths
     return SimilarityProfile(target_index, ds.d, dissimilar)
-
-
-def _similar_runs(coded: LevelCodes, x: np.ndarray, own: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, span): the run of each column's levels similar to x, as the rank
-    of its first level and its length minus one.
-
-    Both ends are found at once by a binary search over the 2d brackets
-    [first level, own level] (the first similar level, since the levels
-    below it are all dissimilar) and [own level, last level] (the last
-    similar one).  A bracket that holds one level stays put, so all of them
-    take the same ``coded.steps`` halvings.  The differences of finite reals
-    are never NaN, so ``<=`` is the negated ``>`` of the rule.
-    """
-    d = len(x)
-    first = coded.starts[:-1]
-    mine = first + own
-    a = np.concatenate([first, mine])
-    b = np.concatenate([mine, coded.starts[1:] - 1])
-    upper = np.repeat(np.array([0, 1], dtype=np.intp), d)
-    is_upper = upper.astype(bool)
-    x2, w2 = np.concatenate([x, x]), np.concatenate([widths, widths])
-    for _ in range(coded.steps):
-        mid = (a + b + upper) >> 1
-        similar = np.abs(coded.levels[mid] - x2) <= w2
-        # lower end: similar -> b = mid, else a = mid + 1;
-        # upper end: similar -> a = mid, else b = mid - 1
-        move_b = similar != is_upper
-        b = np.where(move_b, mid - upper, b)
-        a = np.where(move_b, a, mid + 1 - upper)
-    lo = a[:d]
-    return lo - first, a[d:] - lo
 
 
 def feature_subset(u, d: int) -> list[int]:

@@ -524,17 +524,17 @@ def test_gkw_attribute_builds_no_profile(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_attribute_computes_widths_once(tmp_path, monkeypatch, threads):
-    """The widths depend on the dataset and the spec only, and the level
-    codes on the dataset only, so one command computes each once, not once
-    per target (each widths computation reads the column ranges), even when
-    two workers build their first profiles at the same time."""
+    """The widths depend on the dataset and the spec only, and the
+    two-level codes on the dataset only, so one command computes each once,
+    not once per target (each widths computation reads the column ranges),
+    even when two workers build their first profiles at the same time."""
     from cohortexplain import data
 
     data_path = write_d3(tmp_path)
     calls, codings = [], []
-    original, original_coding = data.feature_ranges, data.code_levels
+    original, original_coding = data.feature_ranges, data.code_two_levels
     monkeypatch.setattr(data, "feature_ranges", lambda ds: calls.append(ds) or original(ds))
-    monkeypatch.setattr(data, "code_levels", lambda X: codings.append(X) or original_coding(X))
+    monkeypatch.setattr(data, "code_two_levels", lambda X: codings.append(X) or original_coding(X))
     assert run("attribute", "--data", str(data_path), "--response", "y", "--method", "igcs",
                "--targets", "0-2", "--threads", threads, "--out", str(tmp_path / "a.jsonl")) == 0
     assert len(calls) == 1

@@ -125,22 +125,34 @@ RULES = st.one_of(
 @st.composite
 def mixed_tables(draw):
     """A mixed numeric/categorical dataset, with constant columns and
-    repeated rows, and a valid rule per column."""
+    repeated rows, and a valid rule per column.  Some tables have at most
+    two values per column, and some numeric columns get an absolute width
+    equal to the gap between two of their values, the rule's boundary."""
     n = draw(st.integers(1, 12))
     d = draw(st.integers(1, 6))
+    two_level = draw(st.booleans())
     cells = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(-4.0, 4.0),
                       st.floats(allow_nan=False, allow_infinity=False))
     columns, kinds, rules = [], [], []
     for _ in range(d):
         style = draw(st.sampled_from(["numeric", "constant", "categorical"]))
         if style == "categorical":
-            columns.append(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+            columns.append(draw(st.lists(st.integers(0, 1 if two_level else 3), min_size=n, max_size=n)))
             kinds.append(ColumnKind.CATEGORICAL)
             rules.append(Equality())
+            continue
+        if two_level:
+            pair = draw(st.lists(cells, min_size=2, max_size=2))
+            column = [pair[k] for k in draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))]
         else:
             column = draw(st.lists(cells, min_size=n, max_size=n))
-            columns.append(column if style == "numeric" else [column[0]] * n)
-            kinds.append(ColumnKind.NUMERIC)
+        columns.append(column if style == "numeric" else [column[0]] * n)
+        kinds.append(ColumnKind.NUMERIC)
+        if draw(st.booleans()):
+            i, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            with np.errstate(over="ignore"):
+                rules.append(AbsoluteRange(abs(columns[-1][i] - columns[-1][k])))
+        else:
             rules.append(draw(RULES))
     X = np.array(columns, dtype=float).T
     for dst, src in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n)):
@@ -148,99 +160,26 @@ def mixed_tables(draw):
     return make_dataset(X, np.zeros(n), kinds=kinds), SimilaritySpec(tuple(rules))
 
 
-@settings(max_examples=200, deadline=None, database=None)
+@settings(max_examples=300, deadline=None, database=None)
 @given(mixed_tables())
 def test_build_profile_matches_rule_oracle(table):
+    """Per target, the rule applied cell by cell, and D and the counts |J_i|
+    byte for byte and dtype for dtype against one float broadcast over the
+    table, whether or not the table is coded."""
     ds, spec = table
-    for t in range(ds.n):
-        with np.errstate(over="ignore"):  # overflowing differences are inf
-            expected = indicators_by_rule(ds, spec, t)
-            profile = build_profile(ds, spec, t)
-        np.testing.assert_array_equal(profile.indicators, expected)
-
-
-def check_profiles_match_broadcast(ds, spec):
-    """D and the counts |J_i| of every target, byte for byte and dtype for
-    dtype, against one float broadcast over the table."""
     with np.errstate(over="ignore"):  # overflowing differences are inf
         widths = similarity_widths(ds, spec)
+    two_level = all(len(np.unique(column)) <= 2 for column in ds.features.T)  # -0.0 == 0.0
+    assert (similarity_context(ds, spec).two_level_codes() is not None) == two_level
     for t in range(ds.n):
         with np.errstate(over="ignore"):
-            D, counts = dissimilar_by_broadcast(ds.features, widths, t)
+            expected = indicators_by_rule(ds, spec, t)
             profile = build_profile(ds, spec, t)
+            D, counts = dissimilar_by_broadcast(ds.features, widths, t)
+        np.testing.assert_array_equal(profile.indicators, expected)
         assert profile.dissimilar.dtype == D.dtype and profile.dissimilar.tobytes() == D.tobytes()
         assert profile.dissim_counts.dtype == counts.dtype
         assert profile.dissim_counts.tobytes() == counts.tobytes()
-
-
-@st.composite
-def gap_width_tables(draw):
-    """``mixed_tables`` where some numeric columns get an absolute width
-    equal to the gap between two of their values, the rule's boundary."""
-    ds, spec = draw(mixed_tables())
-    rules = list(spec.rules)
-    for j in range(ds.d):
-        if ds.kinds[j] is ColumnKind.NUMERIC and draw(st.booleans()):
-            i, k = draw(st.integers(0, ds.n - 1)), draw(st.integers(0, ds.n - 1))
-            with np.errstate(over="ignore"):
-                rules[j] = AbsoluteRange(float(abs(ds.features[i, j] - ds.features[k, j])))
-    return ds, SimilaritySpec(tuple(rules))
-
-
-@settings(max_examples=300, deadline=None, database=None)
-@given(gap_width_tables())
-def test_coded_profile_matches_broadcast(table):
-    ds, spec = table
-    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
-        mp.setattr(data, "SORTED_SHARE_MAX", 1.0)  # code every table
-        assert similarity_context(ds, spec).level_codes() is not None
-        check_profiles_match_broadcast(ds, spec)
-
-
-@st.composite
-def many_level_tables(draw):
-    """257-300 rows: a column with a distinct value per row, so the codes
-    need ``uint16``, beside tied, two-level and signed-zero columns."""
-    n = draw(st.integers(257, 300))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    step = draw(st.sampled_from([1.0, 0.1, 5e-324, 1e305]))
-    X = np.column_stack([
-        rng.permutation(n) * step - (n // 2) * step,
-        np.round(rng.normal(size=n), 1),
-        rng.integers(0, 2, size=n) * draw(st.sampled_from([1.0, 1e308])),
-        np.where(rng.random(n) < 0.5, -0.0, 0.0),
-    ])
-    rules = tuple(draw(RULES) for _ in range(X.shape[1]))
-    return make_dataset(X, np.zeros(n)), SimilaritySpec(rules)
-
-
-@settings(max_examples=20, deadline=None, database=None)
-@given(many_level_tables())
-def test_coded_profile_with_more_than_256_levels(table):
-    ds, spec = table
-    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
-        mp.setattr(data, "SORTED_SHARE_MAX", 1.0)
-        coded = similarity_context(ds, spec).level_codes()
-        assert coded.codes.dtype == np.uint16
-        distinct = [np.unique(column) for column in ds.features.T]  # -0.0 == 0.0
-        np.testing.assert_array_equal(np.diff(coded.starts), [len(u) for u in distinct])
-        np.testing.assert_array_equal(coded.levels, np.concatenate(distinct))
-        np.testing.assert_array_equal(np.diff(coded.starts)[[0, 3]], [ds.n, 1])
-        check_profiles_match_broadcast(ds, spec)
-
-
-def test_codes_widen_to_uint32(monkeypatch):
-    monkeypatch.setattr(data, "SORTED_SHARE_MAX", 1.0)
-    rng = np.random.default_rng(4)
-    X = np.column_stack([rng.permutation(70_000) / 7.0, rng.integers(0, 2, 70_000)])
-    coded = data.code_levels(X)
-    assert coded.codes.dtype == np.uint32 and coded.steps == 17
-    np.testing.assert_array_equal(coded.codes[:, 0], np.unique(X[:, 0], return_inverse=True)[1])
-    ds = make_dataset(X, np.zeros(len(X)))
-    spec = SimilaritySpec((AbsoluteRange(1000.0), Equality()))
-    for t in (0, 12_345):
-        np.testing.assert_array_equal(build_profile(ds, spec, t).dissimilar,
-                                      dissimilar_by_broadcast(X, similarity_widths(ds, spec), t)[0])
 
 
 def _bench_workloads():
@@ -253,23 +192,21 @@ def _bench_workloads():
 
 
 def test_which_tables_are_coded():
-    """The benchmark's 0/1 table is coded in ``uint8`` and needs one search
-    step; a table where most columns have many levels is not coded, and its
-    profiles come from the float compare."""
+    """The benchmark's 0/1 table is coded; a table with one column of more
+    than two values is not, and its profiles come from the float compare."""
     X, y = _bench_workloads().sparse_binary(1, 250, 1024, 20)
     ds = make_dataset(X.astype(float), y)
-    coded = similarity_context(ds, make_similarity_spec(ds)).level_codes()
-    assert coded.codes.dtype == np.uint8 and coded.steps == 1
-    assert coded.codes.flags.c_contiguous and not coded.codes.flags.writeable
+    coded = similarity_context(ds, make_similarity_spec(ds)).two_level_codes()
+    assert coded.at_high.dtype == bool and coded.at_high.shape == (250, 1024)
+    assert not coded.at_high.flags.writeable
     rng = np.random.default_rng(2)
-    many = rng.normal(size=(60, 3))
-    late = many.copy()
-    late[:20] = rng.integers(0, 2, (20, 3))  # two levels in the first rows only
-    for X in (many, late):
-        ds = make_dataset(np.column_stack([rng.integers(0, 2, 60), X]), np.zeros(60))
-        spec = make_similarity_spec(ds)
-        assert similarity_context(ds, spec).level_codes() is None
-        check_profiles_match_broadcast(ds, spec)
+    X = np.column_stack([rng.integers(0, 2, (60, 4)), np.arange(60) % 3])
+    ds = make_dataset(X, np.zeros(60))
+    spec = make_similarity_spec(ds)
+    assert similarity_context(ds, spec).two_level_codes() is None
+    for t in range(ds.n):
+        np.testing.assert_array_equal(build_profile(ds, spec, t).dissimilar,
+                                      dissimilar_by_broadcast(ds.features, similarity_widths(ds, spec), t)[0])
 
 
 @pytest.mark.parametrize("rule", [RelativeRange(1.0), AbsoluteRange(0.0)], ids=["relative", "absolute"])
@@ -332,16 +269,16 @@ def test_counts_hold_a_full_row(d):
     np.testing.assert_array_equal(profile.dissim_counts, [0, d])
 
 
-def test_level_codes_built_once_across_threads(monkeypatch):
+def test_two_level_codes_built_once_across_threads(monkeypatch):
     """Workers whose first profiles of a fresh dataset start together code
-    its levels once, and each gets its own target's D."""
+    it once, and each gets its own target's D."""
     X = (np.random.default_rng(5).random((50, 40)) < 0.3) * 1.0
     ds = make_dataset(X, np.zeros(50))
     spec = make_similarity_spec(ds)
     expected = [dissimilar_by_broadcast(X, similarity_widths(ds, spec), k)[0] for k in range(8)]
     codings, wrong = [], []
-    original = data.code_levels
-    monkeypatch.setattr(data, "code_levels", lambda X: codings.append(1) or original(X))
+    original = data.code_two_levels
+    monkeypatch.setattr(data, "code_two_levels", lambda X: codings.append(1) or original(X))
 
     def hammer(k):
         for _ in range(200):
