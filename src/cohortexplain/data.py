@@ -20,7 +20,6 @@ from __future__ import annotations
 import csv
 import enum
 import io
-import threading
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -434,7 +433,12 @@ class TwoLevelCodes:
 
 def code_two_levels(features: np.ndarray) -> Optional[TwoLevelCodes]:
     """The ``TwoLevelCodes`` of an n x d matrix of finite reals, or None when
-    some column has more than two distinct values: one min/max check."""
+    some column has more than two distinct values: one min/max check.  A
+    table of continuous columns shows three values in its first rows, which
+    decide it at a fraction of the check's cost."""
+    head = features[:16]
+    if ((head != head.min(axis=0)) & (head != head.max(axis=0))).any():
+        return None
     low, high = features.min(axis=0), features.max(axis=0)
     at_high = features == high
     if not (at_high | (features == low)).all():
@@ -444,28 +448,16 @@ def code_two_levels(features: np.ndarray) -> Optional[TwoLevelCodes]:
     return TwoLevelCodes(at_high, low, high)
 
 
+@dataclass(frozen=True, eq=False)
 class SimilarityContext:
     """What every profile of one (dataset, spec) reads: the validated
-    widths w_j, computed when the context is made, and the dataset's
-    ``TwoLevelCodes`` (None for a table with a column of more than two
-    values), computed by the first ``two_level_codes()`` call, that is by
-    the first profile, and only once however many workers ask together."""
+    widths w_j and the dataset's ``TwoLevelCodes`` (None for a table with a
+    column of more than two values), both computed when the context is
+    made, before any worker starts."""
 
-    def __init__(self, spec: SimilaritySpec, widths: np.ndarray, features: np.ndarray):
-        self.spec = spec
-        self.widths = widths
-        self._features = features
-        self._codes: Optional[TwoLevelCodes] = None
-        self._coded = False
-        self._lock = threading.Lock()
-
-    def two_level_codes(self) -> Optional[TwoLevelCodes]:
-        if not self._coded:
-            with self._lock:
-                if not self._coded:
-                    self._codes = code_two_levels(self._features)
-                    self._coded = True
-        return self._codes
+    spec: SimilaritySpec
+    widths: np.ndarray
+    codes: Optional[TwoLevelCodes]
 
 
 def similarity_context(ds: Dataset, spec: SimilaritySpec) -> SimilarityContext:
@@ -473,9 +465,10 @@ def similarity_context(ds: Dataset, spec: SimilaritySpec) -> SimilarityContext:
 
     The dataset keeps the context of the last spec object it was given, so
     the profiles of one command read one validated computation of the
-    widths (``make_similarity_spec`` makes it, before any worker starts) and
-    one coding of the table.  Another spec object is validated against the
-    dataset and replaces the memo whole."""
+    widths and one coding of the table (``make_similarity_spec`` makes
+    them, before any worker starts).  Another spec object is validated
+    against the dataset and replaces the memo whole; the codes depend on
+    the dataset only and carry over."""
     last = ds._similarity[0]
     if last is not None and last.spec is spec:
         return last
@@ -486,7 +479,8 @@ def similarity_context(ds: Dataset, spec: SimilaritySpec) -> SimilarityContext:
             raise ConfigError(f"categorical column {name!r} must use the equality rule")
     widths = np.array([rule.column_width(r) for rule, r in zip(spec.rules, feature_ranges(ds))])
     widths.setflags(write=False)
-    context = SimilarityContext(spec, widths, ds.features)
+    codes = last.codes if last is not None else code_two_levels(ds.features)
+    context = SimilarityContext(spec, widths, codes)
     ds._similarity[0] = context
     return context
 

@@ -11,7 +11,7 @@ the same matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -30,18 +30,18 @@ class SimilarityProfile:
     not similar to the target on feature j; ``dissim_counts[i]`` is |J_i|.
     The profile keeps a read-only view of the matrix it is given.  The
     target row is all-similar, so J_t is empty.  ``indicators`` is the
-    derived similarity matrix ~D.  The counts are one sum of D's bytes in
-    the smallest unsigned type that holds d, cast to ``intp``.
-    ``sparse_rows`` lists the members of each non-empty J_i, built from D
-    on first use (O(nd) once, index arrays of nnz(D) entries) for the
-    refinement kernel; engines that never walk an ordering, like IGCS,
-    never build it.  Profiles compare and hash by identity.
+    derived similarity matrix ~D.  ``dissim_counts`` are D's row sums, as
+    ``intp``; a caller that has them already, like ``build_profile``, may
+    pass them.  ``sparse_rows`` lists the members of each non-empty J_i,
+    built from D on first use (O(nd) once, index arrays of nnz(D) entries)
+    for the refinement kernel; engines that never walk an ordering, like
+    IGCS, never build it.  Profiles compare and hash by identity.
     """
 
     target_index: int
     d: int
     dissimilar: np.ndarray
-    dissim_counts: np.ndarray = field(init=False)
+    dissim_counts: Optional[np.ndarray] = None
 
     def __post_init__(self):
         D = np.asarray(self.dissimilar, dtype=bool).view()
@@ -51,7 +51,7 @@ class SimilarityProfile:
             raise TargetOutOfRange(self.target_index, D.shape[0])
         if D[self.target_index].any():
             raise ValueError("target row must be similar to itself on every feature")
-        counts = D.view(np.uint8).sum(axis=1, dtype=np.min_scalar_type(self.d)).astype(np.intp)
+        counts = D.sum(axis=1) if self.dissim_counts is None else np.asarray(self.dissim_counts).view()
         for arr in (D, counts):
             arr.setflags(write=False)
         object.__setattr__(self, "dissimilar", D)
@@ -89,14 +89,16 @@ def build_profile(ds: Dataset, spec: SimilaritySpec, target_index: int) -> Simil
     or is column j's other value, so D[i, j] holds iff x_ij != x_tj and that
     other value is dissimilar to x_tj: one boolean compare of the table and
     one float compare per column, instead of a float subtract, abs and
-    compare of the table.  Other tables take the float broadcast.  D is the
+    compare of the table.  There the counts |J_i| are summed over D's bytes
+    in the smallest unsigned type that holds d, which costs a third of the
+    bool sum at d=1024.  Other tables take the float broadcast.  D is the
     same matrix either way.
     """
     if not 0 <= target_index < ds.n:
         raise TargetOutOfRange(target_index, ds.n)
     context = similarity_context(ds, spec)
     x = ds.features[target_index]
-    coded = context.two_level_codes()
+    coded = context.codes
     if coded is None:
         diff = ds.features - x
         np.abs(diff, out=diff)
@@ -105,7 +107,8 @@ def build_profile(ds: Dataset, spec: SimilaritySpec, target_index: int) -> Simil
     other = np.where(own, coded.low, coded.high)
     dissimilar = coded.at_high != own
     dissimilar &= np.abs(other - x) > context.widths
-    return SimilarityProfile(target_index, ds.d, dissimilar)
+    counts = dissimilar.view(np.uint8).sum(axis=1, dtype=np.min_scalar_type(ds.d)).astype(np.intp)
+    return SimilarityProfile(target_index, ds.d, dissimilar, counts)
 
 
 def feature_subset(u, d: int) -> list[int]:

@@ -27,7 +27,6 @@ from cohortexplain import (
     conditional_curves,
     make_similarity_spec,
 )
-from cohortexplain import data
 from cohortexplain.data import similarity_context, similarity_widths
 from cohortexplain.similarity import refinement_path, superset_tables
 
@@ -170,7 +169,7 @@ def test_build_profile_matches_rule_oracle(table):
     with np.errstate(over="ignore"):  # overflowing differences are inf
         widths = similarity_widths(ds, spec)
     two_level = all(len(np.unique(column)) <= 2 for column in ds.features.T)  # -0.0 == 0.0
-    assert (similarity_context(ds, spec).two_level_codes() is not None) == two_level
+    assert (similarity_context(ds, spec).codes is not None) == two_level
     for t in range(ds.n):
         with np.errstate(over="ignore"):
             expected = indicators_by_rule(ds, spec, t)
@@ -196,14 +195,14 @@ def test_which_tables_are_coded():
     than two values is not, and its profiles come from the float compare."""
     X, y = _bench_workloads().sparse_binary(1, 250, 1024, 20)
     ds = make_dataset(X.astype(float), y)
-    coded = similarity_context(ds, make_similarity_spec(ds)).two_level_codes()
+    coded = similarity_context(ds, make_similarity_spec(ds)).codes
     assert coded.at_high.dtype == bool and coded.at_high.shape == (250, 1024)
     assert not coded.at_high.flags.writeable
     rng = np.random.default_rng(2)
     X = np.column_stack([rng.integers(0, 2, (60, 4)), np.arange(60) % 3])
     ds = make_dataset(X, np.zeros(60))
     spec = make_similarity_spec(ds)
-    assert similarity_context(ds, spec).two_level_codes() is None
+    assert similarity_context(ds, spec).codes is None
     for t in range(ds.n):
         np.testing.assert_array_equal(build_profile(ds, spec, t).dissimilar,
                                       dissimilar_by_broadcast(ds.features, similarity_widths(ds, spec), t)[0])
@@ -261,42 +260,15 @@ def test_widths_memo_gives_each_thread_its_own_spec():
 @pytest.mark.parametrize("d", [255, 256, 65536])
 def test_counts_hold_a_full_row(d):
     """|J_i| = d for a row dissimilar on every feature, whatever the width
-    of the sum that counts it."""
-    S = np.zeros((2, d), dtype=bool)
-    S[0] = True
-    profile = profile_from_indicators(S, 0)
-    assert profile.dissim_counts.dtype == np.intp
-    np.testing.assert_array_equal(profile.dissim_counts, [0, d])
-
-
-def test_two_level_codes_built_once_across_threads(monkeypatch):
-    """Workers whose first profiles of a fresh dataset start together code
-    it once, and each gets its own target's D."""
-    X = (np.random.default_rng(5).random((50, 40)) < 0.3) * 1.0
-    ds = make_dataset(X, np.zeros(50))
+    of the sum that counts it on a coded table."""
+    X = np.zeros((3, d))
+    X[2] = 1.0
+    ds = make_dataset(X, np.zeros(3))
     spec = make_similarity_spec(ds)
-    expected = [dissimilar_by_broadcast(X, similarity_widths(ds, spec), k)[0] for k in range(8)]
-    codings, wrong = [], []
-    original = data.code_two_levels
-    monkeypatch.setattr(data, "code_two_levels", lambda X: codings.append(1) or original(X))
-
-    def hammer(k):
-        for _ in range(200):
-            if not np.array_equal(build_profile(ds, spec, k).dissimilar, expected[k]):
-                wrong.append(k)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        workers = [threading.Thread(target=hammer, args=(k,)) for k in range(len(expected))]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(w.is_alive() for w in workers)
-    assert codings == [1] and wrong == []
+    assert similarity_context(ds, spec).codes is not None
+    profile = build_profile(ds, spec, 0)
+    assert profile.dissim_counts.dtype == np.intp
+    np.testing.assert_array_equal(profile.dissim_counts, [0, 0, d])
 
 
 def test_target_out_of_range(d3_dataset, d3_spec):
