@@ -150,8 +150,8 @@ class Dataset:
     categories: tuple[Optional[tuple[str, ...]], ...]
     response_name: str = "y"
     # The last ``SimilarityContext`` that ``similarity_context`` gave,
-    # replaced whole so that parallel workers always read a matching spec
-    # and widths.
+    # replaced whole so that parallel workers always read a matching spec,
+    # widths and codes.
     _similarity: list = field(default_factory=lambda: [None], init=False, repr=False)
 
     def __post_init__(self):

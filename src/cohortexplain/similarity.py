@@ -90,9 +90,9 @@ def build_profile(ds: Dataset, spec: SimilaritySpec, target_index: int) -> Simil
     other value is dissimilar to x_tj: one boolean compare of the table and
     one float compare per column, instead of a float subtract, abs and
     compare of the table.  There the counts |J_i| are summed over D's bytes
-    in the smallest unsigned type that holds d, which costs a third of the
-    bool sum at d=1024.  Other tables take the float broadcast.  D is the
-    same matrix either way.
+    in the smallest unsigned type that holds d, in a quarter to a half of
+    the bool sum's time at d=1024.  Other tables take the float broadcast.
+    D is the same matrix either way.
     """
     if not 0 <= target_index < ds.n:
         raise TargetOutOfRange(target_index, ds.n)
