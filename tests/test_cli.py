@@ -527,7 +527,7 @@ def test_attribute_computes_widths_once(tmp_path, monkeypatch, threads):
     """The widths depend on the dataset and the spec only, and the
     two-level codes on the dataset only, so one command computes each once,
     not once per target (each widths computation reads the column ranges),
-    even when two workers build their first profiles at the same time."""
+    with one worker or two."""
     from cohortexplain import data
 
     data_path = write_d3(tmp_path)

@@ -192,20 +192,23 @@ def _bench_workloads():
 
 def test_which_tables_are_coded():
     """The benchmark's 0/1 table is coded; a table with one column of more
-    than two values is not, and its profiles come from the float compare."""
+    than two values is not, whether its first rows show the third value or
+    not, and its profiles come from the float compare."""
     X, y = _bench_workloads().sparse_binary(1, 250, 1024, 20)
     ds = make_dataset(X.astype(float), y)
     coded = similarity_context(ds, make_similarity_spec(ds)).codes
     assert coded.at_high.dtype == bool and coded.at_high.shape == (250, 1024)
     assert not coded.at_high.flags.writeable
     rng = np.random.default_rng(2)
-    X = np.column_stack([rng.integers(0, 2, (60, 4)), np.arange(60) % 3])
-    ds = make_dataset(X, np.zeros(60))
-    spec = make_similarity_spec(ds)
-    assert similarity_context(ds, spec).codes is None
-    for t in range(ds.n):
-        np.testing.assert_array_equal(build_profile(ds, spec, t).dissimilar,
-                                      dissimilar_by_broadcast(ds.features, similarity_widths(ds, spec), t)[0])
+    rows = np.arange(60)
+    late = np.where(rows < 20, rows % 2, rows % 3)  # a third value after the first rows only
+    for third in (rows % 3, late):
+        ds = make_dataset(np.column_stack([rng.integers(0, 2, (60, 4)), third]), np.zeros(60))
+        spec = make_similarity_spec(ds)
+        assert similarity_context(ds, spec).codes is None
+        for t in range(ds.n):
+            np.testing.assert_array_equal(build_profile(ds, spec, t).dissimilar,
+                                          dissimilar_by_broadcast(ds.features, similarity_widths(ds, spec), t)[0])
 
 
 @pytest.mark.parametrize("rule", [RelativeRange(1.0), AbsoluteRange(0.0)], ids=["relative", "absolute"])
