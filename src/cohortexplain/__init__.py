@@ -25,11 +25,9 @@ from .data import (
     save_dataset,
 )
 from .diagnostics import (
-    ComparisonRecord,
     ConvergenceReport,
     CornerReport,
     corner_convergence,
-    cs_vs_igcs,
     heps_mass,
     second_order_weights,
 )
@@ -81,7 +79,6 @@ __all__ = [
     "CohortExplainError",
     "CohortValue",
     "ColumnKind",
-    "ComparisonRecord",
     "ComputationError",
     "ConfigError",
     "ConvergenceReport",
@@ -118,7 +115,6 @@ __all__ = [
     "cohort",
     "conditional_curves",
     "corner_convergence",
-    "cs_vs_igcs",
     "dataset_summary",
     "exact_shapley",
     "feature_ranges",

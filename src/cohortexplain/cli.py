@@ -366,10 +366,6 @@ def _read_attribution_file(path) -> tuple[dict, list[tuple[str, dict]]]:
     return header, [(where, _json_object(line, where)) for where, line in lines[1:]]
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _record_values(record: dict, ds, where: str) -> tuple[str, int, np.ndarray]:
     method = record.get("method", "?")
     if not isinstance(method, str):
@@ -382,12 +378,12 @@ def _record_values(record: dict, ds, where: str) -> tuple[str, int, np.ndarray]:
             f"{where}: attribution columns do not match the dataset ({len(values)} vs d={ds.d})"
         )
     for name, v in values.items():
-        if not (_is_int(v) or isinstance(v, float)) or not abs(v) <= sys.float_info.max:
+        if type(v) not in (int, float) or not abs(v) <= sys.float_info.max:
             raise DataError(f"{where}: value of {name!r} must be a finite number, got {v!r}")
     if "target_index" not in record:
         raise DataError(f"{where}: record has no target_index")
     target = record["target_index"]
-    if not _is_int(target):
+    if type(target) is not int:
         raise DataError(f"{where}: target_index must be an integer, got {target!r}")
     if not 0 <= target < ds.n:
         raise DimensionMismatch(f"{where}: target {target} outside the dataset's [0, {ds.n})")

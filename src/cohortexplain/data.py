@@ -394,8 +394,10 @@ def save_dataset(ds: Dataset, path) -> None:
 
 
 def feature_ranges(ds: Dataset) -> np.ndarray:
-    """Per-column range max - min; defined as 0 for categorical columns."""
-    ranges = ds.features.max(axis=0) - ds.features.min(axis=0)
+    """Per-column range max - min; defined as 0 for categorical columns.
+    A range past the largest float is inf, without a warning."""
+    with np.errstate(over="ignore"):
+        ranges = ds.features.max(axis=0) - ds.features.min(axis=0)
     for j, kind in enumerate(ds.kinds):
         if kind is ColumnKind.CATEGORICAL:
             ranges[j] = 0.0

@@ -1,28 +1,24 @@
-"""Runnable convergence diagnostics and a head-to-head comparison harness.
+"""Runnable convergence diagnostics and the closed form for pair terms.
 
 The soft cohort value is nearly multilinear wherever the non-target soft
 similarity mass stays below a threshold eps.  These diagnostics estimate how
 much of the unit cube (and how many of its corners) violate that, and report
 the matching analytic bounds, so users can check whether the
 integrated-gradient attribution can be trusted to track the exact one on
-their data.
+their data.  ``second_order_weights`` gives both methods' weights for one
+second-order pair term in closed form.  A side-by-side run of exact cohort
+Shapley and IGCS is ``cohortexplain compare --methods cs-exact,igcs``.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 import numpy as np
 
-from .data import Dataset, SimilaritySpec
 from .errors import DimensionTooLarge, EpsOutOfRange, EmptyDissimSet
-from .evaluation import abc_report
-from .igcs import QuadratureSpec, SoftValue, igcs_attribution
 from .sampling import rng_from
-from .shapley import DEFAULT_DIMENSION_CAP, exact_shapley, mc_shapley
-from .similarity import SimilarityProfile, build_profile, superset_tables
-from .values import CohortValue
+from .similarity import SimilarityProfile, superset_tables
 
 #: largest d for which the corner census walks all 2^d corners
 CORNER_DIMENSION_CAP = 20
@@ -171,94 +167,3 @@ def second_order_weights(ji, jip, d: int) -> tuple[np.ndarray, np.ndarray]:
     ig[inter] = 2.0 / scale
     ig[diff] = 1.0 / scale
     return cs, ig
-
-
-@dataclass(frozen=True)
-class ComparisonRecord:
-    """Exact-or-sampled cohort Shapley versus its integrated-gradient
-    approximation on one target: values, ordering agreement, ABC scores,
-    and wall-clock."""
-
-    target_index: int
-    cs_method: str
-    cs_values: np.ndarray
-    igcs_values: np.ndarray
-    difference: np.ndarray
-    rank_correlation: float
-    cs_abc_insertion: float
-    cs_abc_deletion: float
-    igcs_abc_insertion: float
-    igcs_abc_deletion: float
-    cs_seconds: float
-    igcs_seconds: float
-
-
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks of x; tied entries share the mean of their ranks."""
-    order = np.argsort(x, kind="stable")
-    sorted_x = x[order]
-    starts = np.flatnonzero(np.r_[True, sorted_x[1:] != sorted_x[:-1]])
-    sizes = np.diff(np.r_[starts, len(x)])
-    ranks = np.empty(len(x))
-    ranks[order] = np.repeat(starts + (sizes + 1) / 2.0, sizes)
-    return ranks
-
-
-def spearman(a, b) -> float:
-    """Spearman rank correlation: Pearson correlation of average ranks; nan
-    when either input is constant (or has fewer than two entries)."""
-    ra = _average_ranks(np.asarray(a, dtype=float))
-    rb = _average_ranks(np.asarray(b, dtype=float))
-    ra -= ra.mean()
-    rb -= rb.mean()
-    denom = math.sqrt(float(ra @ ra) * float(rb @ rb))
-    return float(ra @ rb) / denom if denom > 0 else math.nan
-
-
-def cs_vs_igcs(
-    ds: Dataset,
-    spec: SimilaritySpec,
-    target_index: int,
-    quad: QuadratureSpec = QuadratureSpec(),
-    mc_budget: int = 1000,
-    seed: int = 0,
-    cap: int = DEFAULT_DIMENSION_CAP,
-) -> ComparisonRecord:
-    """Compute both attributions for one target and score them side by side.
-
-    Uses the exact engine when d fits under the cap and permutation sampling
-    with ``mc_budget`` samples otherwise.
-    """
-    profile = build_profile(ds, spec, target_index)
-    cv = CohortValue(profile, ds.responses)
-
-    start = time.perf_counter()
-    if ds.d <= cap:
-        cs_attr = exact_shapley(cv, cap=cap)
-        cs_method = "exact"
-    else:
-        cs_attr = mc_shapley(cv, mc_budget, seed=rng_from(seed, target_index))
-        cs_method = "permutation-mc"
-    cs_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    igcs_attr = igcs_attribution(SoftValue(profile, ds.responses), quad)
-    igcs_seconds = time.perf_counter() - start
-
-    cs_abc = abc_report(cv, cs_attr)
-    ig_abc = abc_report(cv, igcs_attr)
-    rho = spearman(cs_attr.values, igcs_attr.values)
-    return ComparisonRecord(
-        target_index=target_index,
-        cs_method=cs_method,
-        cs_values=cs_attr.values,
-        igcs_values=igcs_attr.values,
-        difference=igcs_attr.values - cs_attr.values,
-        rank_correlation=rho,
-        cs_abc_insertion=cs_abc.abc_insertion,
-        cs_abc_deletion=cs_abc.abc_deletion,
-        igcs_abc_insertion=ig_abc.abc_insertion,
-        igcs_abc_deletion=ig_abc.abc_deletion,
-        cs_seconds=cs_seconds,
-        igcs_seconds=igcs_seconds,
-    )

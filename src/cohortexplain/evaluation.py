@@ -51,7 +51,7 @@ def conditional_curves(cv: CohortValue, ordering) -> tuple[np.ndarray, np.ndarra
     """
     ordering = np.asarray(ordering, dtype=int)
     d = cv.d
-    if sorted(ordering.tolist()) != list(range(d)):
+    if ordering.shape != (d,) or not np.array_equal(np.sort(ordering), np.arange(d)):
         raise ValueError(f"ordering must be a permutation of range({d})")
     (sizes, sums), (back_sizes, back_sums) = refinement_path(
         cv.profile, ordering, cv.responses, with_reversed=True
@@ -81,7 +81,7 @@ def abc_report(cv: CohortValue, values: Union[Attribution, np.ndarray]) -> AbcRe
     insertion, deletion = conditional_curves(cv, ordering)
     abc_ins, abc_del = abc_scores(insertion, deletion)
     return AbcReport(
-        ordering=tuple(int(j) for j in ordering),
+        ordering=tuple(ordering.tolist()),
         insertion_curve=insertion,
         deletion_curve=deletion,
         abc_insertion=abc_ins,

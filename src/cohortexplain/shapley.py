@@ -88,16 +88,6 @@ def depth_first_subsets(d: int):
         stack.extend((mask | 1 << j, u + (j,)) for j in reversed(range(u[-1] + 1, d)))
 
 
-def _popcounts(size: int) -> np.ndarray:
-    """Popcount of every integer in [0, size); size must be a power of two."""
-    pop = np.zeros(size, dtype=np.int64)
-    stride = 1
-    while stride < size:
-        pop[stride : 2 * stride] = pop[:stride] + 1
-        stride *= 2
-    return pop
-
-
 @dataclass
 class Attribution:
     """Per-feature attribution values with the bookkeeping needed to audit them.
@@ -169,7 +159,7 @@ def exact_shapley(nu: ValueFunction, cap: int = DEFAULT_DIMENSION_CAP) -> Attrib
     vals = np.asarray(nu.all_values(), dtype=float)
     # W[u] = 1 / (d * C(d-1, |u|)); the full set (|u| = d) never lacks a feature, so its 0 is unused
     weights = np.array([1.0 / (d * math.comb(d - 1, s)) for s in range(d)] + [0.0])
-    W = weights[_popcounts(1 << d)]
+    W = weights[np.bitwise_count(np.arange(1 << d, dtype=np.uint32))]
     phi = np.empty(d)
     for j in range(d):
         pairs = vals.reshape(-1, 2, 1 << j)

@@ -1,15 +1,18 @@
+import pathlib
+import re
+
 import cohortexplain
 
 PUBLIC = [
     "AbcReport", "AbsoluteRange", "AbsResidual", "Attribution", "CategoricalFeatureUnsupported",
-    "CohortExplainError", "CohortValue", "ColumnKind", "ComparisonRecord", "ComputationError",
+    "CohortExplainError", "CohortValue", "ColumnKind", "ComputationError",
     "ConfigError", "ConvergenceReport", "CornerReport", "DataError", "Dataset", "DimensionMismatch",
     "DimensionTooLarge", "EmptyDataset", "EmptyDissimSet", "EpsOutOfRange", "Equality", "GkwValue",
     "MissingColumn", "MissingValue", "NonNumericResponse", "NonNumericValue", "QuadratureSpec",
     "RandomBaseline", "Raw", "RelativeRange", "Residual", "SimilarityProfile", "SimilaritySpec",
     "SingularCovariance", "SoftValue", "SquaredResidual", "TargetOutOfRange", "UniquenessValue",
     "ValueFunction", "abc_report", "abc_scores", "build_profile", "cohort", "conditional_curves",
-    "corner_convergence", "cs_vs_igcs", "dataset_summary", "exact_shapley", "feature_ranges",
+    "corner_convergence", "dataset_summary", "exact_shapley", "feature_ranges",
     "heps_mass", "igcs_attribution", "load_dataset", "make_similarity_spec", "mc_shapley",
     "random_ordering_baseline", "save_dataset", "second_order_weights", "variable_ordering",
 ]
@@ -19,3 +22,13 @@ def test_public_names_are_pinned_and_resolve():
     assert cohortexplain.__all__ == PUBLIC
     for name in PUBLIC:
         assert getattr(cohortexplain, name) is not None
+
+
+def test_numpy_floor_has_the_functions_used():
+    """``np.trapezoid`` (ABC scores) and ``np.bitwise_count`` (exact
+    weights) first appeared in numpy 2.0, so the declared floor must be
+    at least that.  Read with a regex: ``tomllib`` needs Python 3.11."""
+    text = (pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    floor = re.search(r'"numpy>=(\d+)\.(\d+)[^"]*"', text)
+    assert floor is not None
+    assert (int(floor[1]), int(floor[2])) >= (2, 0)

@@ -205,6 +205,7 @@ def _without(record, key):
     pytest.param(2, lambda h, r: (h, {**r, "values": {"x1": float("nan"), "x2": 1.0}}), id="nan-value"),
     pytest.param(2, lambda h, r: (h, {**r, "values": {"x1": 1.0, "x2": float("-inf")}}), id="infinite-value"),
     pytest.param(2, lambda h, r: (h, {**r, "values": {"x1": 10**400, "x2": 1.0}}), id="int-beyond-double"),
+    pytest.param(2, lambda h, r: (h, {**r, "values": {"x1": True, "x2": 1.0}}), id="bool-value"),
 ])
 def test_evaluate_malformed_attribution_file(tmp_path, capsys, line, corrupt):
     data = write_d3(tmp_path)
@@ -288,6 +289,33 @@ def test_commands_run_with_scipy_blocked(tmp_path):
     assert result.returncode == 0, result.stderr
     codes = json.loads(result.stdout)
     assert codes == dict.fromkeys(["cs-exact", "igcs", "uniqueness", "gkw", "evaluate", "diagnose"], 0)
+
+
+OVERFLOW_RUN = """
+import sys, warnings
+warnings.simplefilter("default")
+from cohortexplain.cli import main
+
+data, tmp = sys.argv[1:3]
+common = ["--data", data, "--response", "y"]
+codes = [main(["attribute", *common, "--method", "igcs", "--targets", "all", "--out", f"{tmp}/a.jsonl"]),
+         main(["similarity", *common, "--target", "0", "--out", f"{tmp}/s.csv"])]
+print(codes)
+"""
+
+
+@pytest.mark.parametrize("rows", [
+    pytest.param(["-1e308,0,1,1.0", "1e308,1,0,2.0", "0,0,2,3.0", "5,1,1,0.5"], id="uncoded"),
+    pytest.param(["-1e308,0,1,1.0", "1e308,1,0,2.0", "1e308,0,0,3.0", "-1e308,1,1,0.5"], id="coded"),
+])
+def test_overflowing_column_prints_no_warning(tmp_path, rows):
+    data = tmp_path / "big.csv"
+    data.write_text("\n".join(["a,b,c,y", *rows]) + "\n", encoding="utf-8")
+    result = _run_python(OVERFLOW_RUN, str(data), str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[0, 0]"
+    (line,) = result.stderr.splitlines()
+    assert line.startswith("attributed 4 target(s) with igcs")
 
 
 def test_evaluate_plot_data(tmp_path):

@@ -4,6 +4,7 @@ import math
 import pathlib
 import sys
 import threading
+import warnings
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -211,6 +212,26 @@ def test_which_tables_are_coded():
                                           dissimilar_by_broadcast(ds.features, similarity_widths(ds, spec), t)[0])
 
 
+def test_overflowing_differences_raise_no_warning():
+    """A column holding -1e308 and 1e308 has an inf range and inf
+    differences: no RuntimeWarning from the spec or either profile path,
+    and D is the broadcast's."""
+    big = [[-1e308, 0.0], [1e308, 1.0], [1e308, 0.0], [-1e308, 1.0]]
+    tables = [(big, True), ([*big, [0.0, 0.0]], False)]  # a third value uncodes the table
+    for features, coded in tables:
+        ds = make_dataset(features, np.zeros(len(features)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = make_similarity_spec(ds)
+            profiles = [build_profile(ds, spec, t) for t in range(ds.n)]
+        assert (similarity_context(ds, spec).codes is not None) == coded
+        with np.errstate(over="ignore"):
+            widths = similarity_widths(ds, spec)
+            for t, profile in enumerate(profiles):
+                D, _ = dissimilar_by_broadcast(ds.features, widths, t)
+                assert profile.dissimilar.tobytes() == D.tobytes()
+
+
 @pytest.mark.parametrize("rule", [RelativeRange(1.0), AbsoluteRange(0.0)], ids=["relative", "absolute"])
 def test_categorical_column_needs_equality(rule):
     ds = make_dataset([[0.0, 1.0], [1.0, 0.0]], [0, 0], kinds=(ColumnKind.NUMERIC, ColumnKind.CATEGORICAL))
@@ -263,15 +284,20 @@ def test_widths_memo_gives_each_thread_its_own_spec():
 @pytest.mark.parametrize("d", [255, 256, 65536])
 def test_counts_hold_a_full_row(d):
     """|J_i| = d for a row dissimilar on every feature, whatever the width
-    of the sum that counts it on a coded table."""
+    of the sum that counts it, on a coded table and (up to d=256) on an
+    uncoded one, where a fourth row puts a third value in column 0."""
     X = np.zeros((3, d))
     X[2] = 1.0
-    ds = make_dataset(X, np.zeros(3))
-    spec = make_similarity_spec(ds)
-    assert similarity_context(ds, spec).codes is not None
-    profile = build_profile(ds, spec, 0)
-    assert profile.dissim_counts.dtype == np.intp
-    np.testing.assert_array_equal(profile.dissim_counts, [0, 0, d])
+    tables = [(X, True, [0, 0, d])]
+    if d <= 256:
+        tables.append((np.vstack([X, np.eye(1, d) * 2.0]), False, [0, 0, d, 1]))
+    for features, coded, expected in tables:
+        ds = make_dataset(features, np.zeros(len(features)))
+        spec = make_similarity_spec(ds)
+        assert (similarity_context(ds, spec).codes is not None) == coded
+        profile = build_profile(ds, spec, 0)
+        assert profile.dissim_counts.dtype == np.intp
+        np.testing.assert_array_equal(profile.dissim_counts, expected)
 
 
 def test_target_out_of_range(d3_dataset, d3_spec):
