@@ -53,7 +53,6 @@ from .similarity import SimilarityProfile, build_profile
 from .values import CohortValue, GkwValue, UniquenessValue
 
 ATTRIBUTION_SCHEMA = "cohortexplain.attribution/1"
-THREADS_ENV = "COHORTEXPLAIN_THREADS"
 DEFAULTS = {"steps": 50, "samples": 1000, "sigma": 0.1, "seed": 0, "cap": DEFAULT_DIMENSION_CAP}
 
 
@@ -234,14 +233,7 @@ def _similarity_from_args(args, ds):
 
 
 def _thread_count(args) -> int:
-    if getattr(args, "threads", None) is not None:
-        count = args.threads
-    else:
-        env = os.environ.get(THREADS_ENV)
-        try:
-            count = int(env) if env else (os.cpu_count() or 1)
-        except ValueError:
-            raise ConfigError(f"bad {THREADS_ENV} value {env!r}") from None
+    count = (os.cpu_count() or 1) if args.threads is None else args.threads
     if count < 1:
         raise ConfigError(f"thread count must be >= 1, got {count}")
     return count
@@ -568,7 +560,7 @@ def _add_dataset_options(parser):
     )
     parser.add_argument(
         "--threads", type=int,
-        help=f"target-level parallelism (default: ${THREADS_ENV} or all cores)",
+        help="target-level parallelism (default: all cores)",
     )
 
 

@@ -13,6 +13,11 @@ on ',' and '\\n' gives, and both parsers read it with ``PyOS_string_to_double``,
 so the table is the same to the bit.  Any file the fast path does not take,
 or would read differently, goes to the reference loader, which raises every
 documented error.
+
+The similarity widths w_j come from two immutable sources: the column
+ranges (and two-level codes) a ``Dataset`` computes when it is made, and
+the per-column arrays a ``SimilaritySpec`` derives from its rules.
+``similarity_widths`` combines them on each call; nothing is cached.
 """
 
 from __future__ import annotations
@@ -48,9 +53,6 @@ class ColumnKind(enum.Enum):
 class Equality:
     """Similar iff the stored values are identical: width 0."""
 
-    def column_width(self, column_range: float) -> float:
-        return 0.0
-
     def token(self) -> str:
         return "equality"
 
@@ -64,9 +66,6 @@ class RelativeRange:
     def __post_init__(self):
         if not 0.0 < self.delta <= 1.0:
             raise ConfigError(f"relative similarity delta must be in (0, 1], got {self.delta}")
-
-    def column_width(self, column_range: float) -> float:
-        return self.delta * column_range
 
     def token(self) -> str:
         return f"relative:{self.delta!r}"
@@ -82,9 +81,6 @@ class AbsoluteRange:
         if not self.width >= 0.0:
             raise ConfigError(f"absolute similarity width must be >= 0, got {self.width}")
 
-    def column_width(self, column_range: float) -> float:
-        return self.width
-
     def token(self) -> str:
         return f"absolute:{self.width!r}"
 
@@ -94,14 +90,34 @@ SimilarityRule = Union[Equality, RelativeRange, AbsoluteRange]
 
 @dataclass(frozen=True)
 class SimilaritySpec:
-    """One similarity rule per dataset column, in column order."""
+    """One similarity rule per dataset column, in column order.
+
+    The rules are also held as read-only per-column arrays, derived from
+    ``rules`` and left out of comparison and hashing: ``relative`` marks
+    the relative-range rules, ``deltas`` holds their deltas, ``fixed`` the
+    other rules' widths (0 for equality), and ``equality`` marks the
+    equality rules.
+    """
 
     rules: tuple[SimilarityRule, ...]
+    relative: np.ndarray = field(init=False, repr=False, compare=False)
+    deltas: np.ndarray = field(init=False, repr=False, compare=False)
+    fixed: np.ndarray = field(init=False, repr=False, compare=False)
+    equality: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for rule in self.rules:
             if not isinstance(rule, (Equality, RelativeRange, AbsoluteRange)):
                 raise ConfigError(f"unknown similarity rule {rule!r}")
+        arrays = {
+            "relative": np.array([isinstance(rule, RelativeRange) for rule in self.rules], dtype=bool),
+            "deltas": np.array([getattr(rule, "delta", 0.0) for rule in self.rules], dtype=float),
+            "fixed": np.array([getattr(rule, "width", 0.0) for rule in self.rules], dtype=float),
+            "equality": np.array([isinstance(rule, Equality) for rule in self.rules], dtype=bool),
+        }
+        for name, arr in arrays.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +157,15 @@ class Dataset:
     codes assigned in first-appearance order, with the original labels kept
     in ``categories``.  Arrays are read-only so the dataset can be shared
     across parallel workers.  Datasets compare and hash by identity.
+
+    The column facts that every similarity width and profile reads are
+    computed once, from one min/max pass over the features:
+    ``categorical`` marks the categorical columns, ``low``/``high`` are
+    each column's minimum and maximum, and ``ranges`` is high - low (0 for
+    categorical columns; inf, without a warning, past the largest float).
+    When every column takes at most two values, ``at_high[i, j]`` is
+    x_ij == high_j; otherwise ``at_high`` is None.  -0.0 and 0.0 are one
+    value; no similarity rule tells them apart.
     """
 
     features: np.ndarray
@@ -149,10 +174,11 @@ class Dataset:
     kinds: tuple[ColumnKind, ...]
     categories: tuple[Optional[tuple[str, ...]], ...]
     response_name: str = "y"
-    # The last ``SimilarityContext`` that ``similarity_context`` gave,
-    # replaced whole so that parallel workers always read a matching spec,
-    # widths and codes.
-    _similarity: list = field(default_factory=lambda: [None], init=False, repr=False)
+    categorical: np.ndarray = field(init=False, repr=False)
+    low: np.ndarray = field(init=False, repr=False)
+    high: np.ndarray = field(init=False, repr=False)
+    ranges: np.ndarray = field(init=False, repr=False)
+    at_high: Optional[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         feats = np.array(self.features, dtype=float)
@@ -173,10 +199,24 @@ class Dataset:
             raise DataError("features contain non-finite values")
         if not np.all(np.isfinite(resp)):
             raise DataError("responses contain non-finite values")
-        feats.setflags(write=False)
-        resp.setflags(write=False)
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "responses", resp)
+        categorical = np.array([kind is ColumnKind.CATEGORICAL for kind in kinds], dtype=bool)
+        low, high = feats.min(axis=0), feats.max(axis=0)
+        with np.errstate(over="ignore"):
+            ranges = np.where(categorical, 0.0, high - low)
+        # A table of continuous columns shows a third value in its first
+        # rows, which decide it at a fraction of the full check's cost.
+        head = feats[:16]
+        at_high = None
+        if not ((head != low) & (head != high)).any():
+            at_high = feats == high
+            if not (at_high | (feats == low)).all():
+                at_high = None
+        facts = {"features": feats, "responses": resp, "categorical": categorical,
+                 "low": low, "high": high, "ranges": ranges, "at_high": at_high}
+        for name, arr in facts.items():
+            if arr is not None:
+                arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "column_names", names)
         object.__setattr__(self, "kinds", kinds)
         object.__setattr__(self, "categories", cats)
@@ -396,12 +436,7 @@ def save_dataset(ds: Dataset, path) -> None:
 def feature_ranges(ds: Dataset) -> np.ndarray:
     """Per-column range max - min; defined as 0 for categorical columns.
     A range past the largest float is inf, without a warning."""
-    with np.errstate(over="ignore"):
-        ranges = ds.features.max(axis=0) - ds.features.min(axis=0)
-    for j, kind in enumerate(ds.kinds):
-        if kind is ColumnKind.CATEGORICAL:
-            ranges[j] = 0.0
-    return ranges
+    return ds.ranges
 
 
 def dataset_summary(ds: Dataset) -> str:
@@ -421,76 +456,22 @@ def dataset_summary(ds: Dataset) -> str:
 # ---------------------------------------------------------------------------
 # Similarity specification helpers
 
-@dataclass(frozen=True, eq=False)
-class TwoLevelCodes:
-    """A table whose every column takes at most two values, its minimum
-    ``low[j]`` and its maximum ``high[j]``: ``at_high[i, j]`` is x_ij ==
-    high_j.  -0.0 and 0.0 are one value; no similarity rule tells them apart.
-    """
-
-    at_high: np.ndarray
-    low: np.ndarray
-    high: np.ndarray
-
-
-def code_two_levels(features: np.ndarray) -> Optional[TwoLevelCodes]:
-    """The ``TwoLevelCodes`` of an n x d matrix of finite reals, or None when
-    some column has more than two distinct values: one min/max check.  A
-    table of continuous columns shows three values in its first rows, which
-    decide it at a fraction of the check's cost."""
-    head = features[:16]
-    if ((head != head.min(axis=0)) & (head != head.max(axis=0))).any():
-        return None
-    low, high = features.min(axis=0), features.max(axis=0)
-    at_high = features == high
-    if not (at_high | (features == low)).all():
-        return None
-    for arr in (at_high, low, high):
-        arr.setflags(write=False)
-    return TwoLevelCodes(at_high, low, high)
-
-
-@dataclass(frozen=True, eq=False)
-class SimilarityContext:
-    """What every profile of one (dataset, spec) reads: the validated
-    widths w_j and the dataset's ``TwoLevelCodes`` (None for a table with a
-    column of more than two values), both computed when the context is
-    made, before any worker starts."""
-
-    spec: SimilaritySpec
-    widths: np.ndarray
-    codes: Optional[TwoLevelCodes]
-
-
-def similarity_context(ds: Dataset, spec: SimilaritySpec) -> SimilarityContext:
-    """The context of (ds, spec).
-
-    The dataset keeps the context of the last spec object it was given, so
-    the profiles of one command read one validated computation of the
-    widths and one coding of the table (``make_similarity_spec`` makes
-    them, before any worker starts).  Another spec object is validated
-    against the dataset and replaces the memo whole; the codes depend on
-    the dataset only and carry over."""
-    last = ds._similarity[0]
-    if last is not None and last.spec is spec:
-        return last
-    if len(spec.rules) != ds.d:
-        raise ConfigError(f"spec has {len(spec.rules)} rules for {ds.d} columns")
-    for name, rule, kind in zip(ds.column_names, spec.rules, ds.kinds):
-        if kind is ColumnKind.CATEGORICAL and not isinstance(rule, Equality):
-            raise ConfigError(f"categorical column {name!r} must use the equality rule")
-    widths = np.array([rule.column_width(r) for rule, r in zip(spec.rules, feature_ranges(ds))])
-    widths.setflags(write=False)
-    codes = last.codes if last is not None else code_two_levels(ds.features)
-    context = SimilarityContext(spec, widths, codes)
-    ds._similarity[0] = context
-    return context
-
-
 def similarity_widths(ds: Dataset, spec: SimilaritySpec) -> np.ndarray:
     """Per-column widths w_j from each rule and the column's observed range:
-    row i is similar to target t on column j iff |x_ij - x_tj| <= w_j."""
-    return similarity_context(ds, spec).widths
+    row i is similar to target t on column j iff |x_ij - x_tj| <= w_j.
+
+    The spec is checked against the dataset first: one rule per column,
+    and the equality rule on every categorical column.  A relative rule's
+    width is delta * range, the other rules' their fixed width; the product
+    is taken on the relative columns only, so an inf range under a fixed
+    rule never meets a 0 delta and no width is NaN."""
+    if len(spec.rules) != ds.d:
+        raise ConfigError(f"spec has {len(spec.rules)} rules for {ds.d} columns")
+    misruled = ds.categorical & ~spec.equality
+    if misruled.any():
+        name = ds.column_names[int(misruled.argmax())]
+        raise ConfigError(f"categorical column {name!r} must use the equality rule")
+    return np.multiply(spec.deltas, ds.ranges, out=spec.fixed.copy(), where=spec.relative)
 
 
 def make_similarity_spec(

@@ -49,10 +49,11 @@ def conditional_curves(cv: CohortValue, ordering) -> tuple[np.ndarray, np.ndarra
     is the reversed insertion curve of the reversed ordering; one refinement
     call gives both paths.
     """
-    ordering = np.asarray(ordering, dtype=int)
+    ordering = np.asarray(ordering)
     d = cv.d
-    if ordering.shape != (d,) or not np.array_equal(np.sort(ordering), np.arange(d)):
-        raise ValueError(f"ordering must be a permutation of range({d})")
+    if (ordering.dtype.kind not in "iu" or ordering.shape != (d,)
+            or not np.array_equal(np.sort(ordering), np.arange(d))):
+        raise ValueError(f"ordering must be an integer permutation of range({d})")
     (sizes, sums), (back_sizes, back_sums) = refinement_path(
         cv.profile, ordering, cv.responses, with_reversed=True
     )

@@ -6,7 +6,9 @@ in the dissimilarity set J_i of observation i, w_j being the width of the
 column's rule.  That boolean matrix, held by the profile, and the counts
 |J_i| are the only representation of the sets; every cohort, refinement
 path and subset-lattice table is computed from them, here, and IGCS reads
-the same matrix.
+the same matrix.  No state is kept between profiles: each one derives its
+widths from the spec's per-column rule arrays and the column ranges that
+the ``Dataset`` computed when it was made (``data.similarity_widths``).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, SimilaritySpec, similarity_context
+from .data import Dataset, SimilaritySpec, similarity_widths
 from .errors import TargetOutOfRange
 from .shapley import check_lattice
 
@@ -82,12 +84,13 @@ class SimilarityProfile:
 
 
 def build_profile(ds: Dataset, spec: SimilaritySpec, target_index: int) -> SimilarityProfile:
-    """D[i, j] = |x_ij - x_tj| > w_j for one target t, with the widths w of
-    the (ds, spec) context (``data.similarity_context``).
+    """D[i, j] = |x_ij - x_tj| > w_j for one target t, with the widths w
+    that ``data.similarity_widths`` derives from the spec's rules and the
+    dataset's column ranges, checking the spec against the dataset.
 
-    Where every column takes at most two values (the context's
-    ``TwoLevelCodes``), x_ij either equals x_tj, which is similar to itself,
-    or is column j's other value, so D[i, j] holds iff x_ij != x_tj and that
+    Where every column takes at most two values (the dataset's ``at_high``
+    codes), x_ij either equals x_tj, which is similar to itself, or is
+    column j's other value, so D[i, j] holds iff x_ij != x_tj and that
     other value is dissimilar to x_tj: one boolean compare of the table and
     one float compare per column, instead of a float subtract, abs and
     compare of the table.  Other tables take the float broadcast.  D is the
@@ -96,19 +99,18 @@ def build_profile(ds: Dataset, spec: SimilaritySpec, target_index: int) -> Simil
     """
     if not 0 <= target_index < ds.n:
         raise TargetOutOfRange(target_index, ds.n)
-    context = similarity_context(ds, spec)
+    widths = similarity_widths(ds, spec)
     x = ds.features[target_index]
-    coded = context.codes
-    if coded is None:
+    if ds.at_high is None:
         with np.errstate(over="ignore"):
             diff = ds.features - x
         np.abs(diff, out=diff)
-        return SimilarityProfile(target_index, ds.d, diff > context.widths)
-    own = coded.at_high[target_index]
-    other = np.where(own, coded.low, coded.high)
-    dissimilar = coded.at_high != own
+        return SimilarityProfile(target_index, ds.d, diff > widths)
+    own = ds.at_high[target_index]
+    other = np.where(own, ds.low, ds.high)
+    dissimilar = ds.at_high != own
     with np.errstate(over="ignore"):
-        dissimilar &= np.abs(other - x) > context.widths
+        dissimilar &= np.abs(other - x) > widths
     return SimilarityProfile(target_index, ds.d, dissimilar)
 
 

@@ -103,6 +103,8 @@ def test_attribute_param_validation(tmp_path):
                "--samples", "5", "--targets", "0", "--out", str(out)) == 2
     assert run("attribute", *d3_args(data), "--method", "cs-exact",
                "--sigma", "0.5", "--targets", "0", "--out", str(out)) == 2
+    assert run("attribute", *d3_args(data), "--method", "cs-exact",
+               "--threads", "0", "--targets", "0", "--out", str(out)) == 2
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -404,17 +406,6 @@ def test_config_file_and_cli_precedence(tmp_path):
     assert [r[0] for r in rows[1:]] == ["1", "1", "0"]
 
 
-def test_threads_env_default(tmp_path, monkeypatch):
-    data = write_d3(tmp_path)
-    out = tmp_path / "a.jsonl"
-    monkeypatch.setenv("COHORTEXPLAIN_THREADS", "2")
-    assert run("attribute", *d3_args(data), "--method", "cs-exact",
-               "--targets", "all", "--out", str(out)) == 0
-    monkeypatch.setenv("COHORTEXPLAIN_THREADS", "0")
-    assert run("attribute", *d3_args(data), "--method", "cs-exact",
-               "--targets", "all", "--out", str(out)) == 2
-
-
 def test_missing_data_file_exit_code(tmp_path, capsys):
     out = tmp_path / "x.jsonl"
     code = run("attribute", "--data", str(tmp_path / "nope.csv"), "--response", "y",
@@ -552,21 +543,20 @@ def test_gkw_attribute_builds_no_profile(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_attribute_computes_widths_once(tmp_path, monkeypatch, threads):
-    """The widths depend on the dataset and the spec only, and the
-    two-level codes on the dataset only, so one command computes each once,
-    not once per target (each widths computation reads the column ranges),
-    with one worker or two."""
+    """The column facts the widths and profiles read (one min/max pass and
+    the two-level coding) depend on the dataset only and are computed when
+    it is made, so one command computes them once, not once per target,
+    with one worker or two; each profile derives its widths from them."""
     from cohortexplain import data
 
     data_path = write_d3(tmp_path)
-    calls, codings = [], []
-    original, original_coding = data.feature_ranges, data.code_two_levels
-    monkeypatch.setattr(data, "feature_ranges", lambda ds: calls.append(ds) or original(ds))
-    monkeypatch.setattr(data, "code_two_levels", lambda X: codings.append(X) or original_coding(X))
+    made = []
+    original = data.Dataset.__post_init__
+    monkeypatch.setattr(data.Dataset, "__post_init__", lambda ds: made.append(ds) or original(ds))
     assert run("attribute", "--data", str(data_path), "--response", "y", "--method", "igcs",
                "--targets", "0-2", "--threads", threads, "--out", str(tmp_path / "a.jsonl")) == 0
-    assert len(calls) == 1
-    assert len(codings) == 1
+    assert len(made) == 1
+    assert made[0].at_high is not None
 
 
 def test_evaluate_builds_each_target_once(tmp_path, monkeypatch):

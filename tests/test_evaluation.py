@@ -76,6 +76,8 @@ def test_bad_ordering_rejected(d3_cohort_value):
         conditional_curves(d3_cohort_value, [0, 2])
     with pytest.raises(ValueError):
         conditional_curves(d3_cohort_value, [-1, 0])
+    with pytest.raises(ValueError):
+        conditional_curves(d3_cohort_value, [1.7, 0.2])  # not truncated to [1, 0]
 
 
 def test_abc_invariant_under_response_shift():

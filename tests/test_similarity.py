@@ -28,7 +28,7 @@ from cohortexplain import (
     conditional_curves,
     make_similarity_spec,
 )
-from cohortexplain.data import similarity_context, similarity_widths
+from cohortexplain.data import similarity_widths
 from cohortexplain.similarity import refinement_path, superset_tables
 
 from conftest import make_dataset, profile_from_indicators, random_binary_profile
@@ -170,7 +170,7 @@ def test_build_profile_matches_rule_oracle(table):
     with np.errstate(over="ignore"):  # overflowing differences are inf
         widths = similarity_widths(ds, spec)
     two_level = all(len(np.unique(column)) <= 2 for column in ds.features.T)  # -0.0 == 0.0
-    assert (similarity_context(ds, spec).codes is not None) == two_level
+    assert (ds.at_high is not None) == two_level
     for t in range(ds.n):
         with np.errstate(over="ignore"):
             expected = indicators_by_rule(ds, spec, t)
@@ -197,16 +197,15 @@ def test_which_tables_are_coded():
     not, and its profiles come from the float compare."""
     X, y = _bench_workloads().sparse_binary(1, 250, 1024, 20)
     ds = make_dataset(X.astype(float), y)
-    coded = similarity_context(ds, make_similarity_spec(ds)).codes
-    assert coded.at_high.dtype == bool and coded.at_high.shape == (250, 1024)
-    assert not coded.at_high.flags.writeable
+    assert ds.at_high.dtype == bool and ds.at_high.shape == (250, 1024)
+    assert not ds.at_high.flags.writeable
     rng = np.random.default_rng(2)
     rows = np.arange(60)
     late = np.where(rows < 20, rows % 2, rows % 3)  # a third value after the first rows only
     for third in (rows % 3, late):
         ds = make_dataset(np.column_stack([rng.integers(0, 2, (60, 4)), third]), np.zeros(60))
         spec = make_similarity_spec(ds)
-        assert similarity_context(ds, spec).codes is None
+        assert ds.at_high is None
         for t in range(ds.n):
             np.testing.assert_array_equal(build_profile(ds, spec, t).dissimilar,
                                           dissimilar_by_broadcast(ds.features, similarity_widths(ds, spec), t)[0])
@@ -214,22 +213,26 @@ def test_which_tables_are_coded():
 
 def test_overflowing_differences_raise_no_warning():
     """A column holding -1e308 and 1e308 has an inf range and inf
-    differences: no RuntimeWarning from the spec or either profile path,
-    and D is the broadcast's."""
+    differences: no RuntimeWarning from the dataset, the spec or either
+    profile path, under a relative, an equality and an absolute rule, and
+    D is the broadcast's and the rules' own.  A NaN width, as 0 * inf
+    would give, would make every row similar on that column."""
     big = [[-1e308, 0.0], [1e308, 1.0], [1e308, 0.0], [-1e308, 1.0]]
     tables = [(big, True), ([*big, [0.0, 0.0]], False)]  # a third value uncodes the table
     for features, coded in tables:
-        ds = make_dataset(features, np.zeros(len(features)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            spec = make_similarity_spec(ds)
-            profiles = [build_profile(ds, spec, t) for t in range(ds.n)]
-        assert (similarity_context(ds, spec).codes is not None) == coded
-        with np.errstate(over="ignore"):
-            widths = similarity_widths(ds, spec)
-            for t, profile in enumerate(profiles):
-                D, _ = dissimilar_by_broadcast(ds.features, widths, t)
-                assert profile.dissimilar.tobytes() == D.tobytes()
+        for overrides in (None, {"x1": Equality()}, {"x1": AbsoluteRange(1.0)}):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ds = make_dataset(features, np.zeros(len(features)))
+                spec = make_similarity_spec(ds, overrides=overrides)
+                profiles = [build_profile(ds, spec, t) for t in range(ds.n)]
+            assert (ds.at_high is not None) == coded
+            with np.errstate(over="ignore"):
+                widths = similarity_widths(ds, spec)
+                for t, profile in enumerate(profiles):
+                    D, _ = dissimilar_by_broadcast(ds.features, widths, t)
+                    assert profile.dissimilar.tobytes() == D.tobytes()
+                    np.testing.assert_array_equal(profile.indicators, indicators_by_rule(ds, spec, t))
 
 
 @pytest.mark.parametrize("rule", [RelativeRange(1.0), AbsoluteRange(0.0)], ids=["relative", "absolute"])
@@ -241,21 +244,22 @@ def test_categorical_column_needs_equality(rule):
         build_profile(ds, SimilaritySpec((Equality(), rule)), 0)
 
 
-def test_widths_memo_still_validates_hand_built_specs():
+def test_hand_built_specs_are_validated():
     ds = make_dataset([[0.0, 1.0], [4.0, 0.0]], [0, 0], kinds=(ColumnKind.NUMERIC, ColumnKind.CATEGORICAL))
-    spec = make_similarity_spec(ds)  # fills the dataset's widths memo
+    spec = make_similarity_spec(ds)
     with pytest.raises(ConfigError, match="spec has 1 rules for 2 columns"):
         build_profile(ds, SimilaritySpec((Equality(),)), 0)
     with pytest.raises(ConfigError, match="'x2' must use the equality rule"):
         build_profile(ds, SimilaritySpec((RelativeRange(0.1), RelativeRange(0.1))), 0)
     same = SimilaritySpec(spec.rules)
+    assert same == spec and hash(same) == hash(spec)  # the rule arrays take no part
     np.testing.assert_array_equal(similarity_widths(ds, same), [0.4, 0.0])
-    assert similarity_widths(ds, spec) is similarity_widths(ds, spec)
 
 
-def test_widths_memo_gives_each_thread_its_own_spec():
+def test_threads_sharing_a_dataset_get_their_own_spec_widths():
     """Workers sharing one dataset but not one spec each get their own
-    spec's widths, never a (spec, widths) pair torn between two."""
+    spec's widths: a guard against similarity state shared through the
+    dataset."""
     X = np.arange(20.0).reshape(10, 2)
     ds = make_dataset(X, np.zeros(10))
     specs = [SimilaritySpec((RelativeRange(k / 10), AbsoluteRange(k))) for k in range(1, 9)]
@@ -294,7 +298,7 @@ def test_counts_hold_a_full_row(d):
     for features, coded, expected in tables:
         ds = make_dataset(features, np.zeros(len(features)))
         spec = make_similarity_spec(ds)
-        assert (similarity_context(ds, spec).codes is not None) == coded
+        assert (ds.at_high is not None) == coded
         profile = build_profile(ds, spec, 0)
         assert profile.dissim_counts.dtype == np.intp
         np.testing.assert_array_equal(profile.dissim_counts, expected)
