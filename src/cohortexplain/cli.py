@@ -194,25 +194,18 @@ def _parse_targets(text: str, n: int) -> list[int]:
     return sorted(out)  # outputs are written in target-index order
 
 
-def _schema_overrides(args) -> dict[str, ColumnKind]:
-    overrides = {}
+def _setup(args) -> tuple[Dataset, SimilaritySpec, dict]:
+    """The dataset, its similarity spec and the output header's common
+    fields.  Similarity rules: the config file first, CLI flags override."""
+    mode = _parse_response_mode(args.response_mode)
+    schema = {}
     for item in args.schema or []:
         name, sep, kind = item.partition("=")
         if not sep or kind not in ("numeric", "categorical"):
             raise ConfigError(f"bad schema override {item!r}; expected COL=numeric|categorical")
-        overrides[name] = ColumnKind(kind)
-    return overrides
-
-
-def _load(args):
-    mode = _parse_response_mode(args.response_mode)
-    return load_dataset(args.data, args.response, mode, _schema_overrides(args) or None)
-
-
-def _similarity_from_args(args, ds):
-    """Per-column rules: config file first, CLI flags override."""
-    default = None
-    overrides = {}
+        schema[name] = ColumnKind(kind)
+    ds = load_dataset(args.data, args.response, mode, schema or None)
+    default, overrides = None, {}
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
@@ -223,20 +216,26 @@ def _similarity_from_args(args, ds):
     if args.delta is not None:
         default = RelativeRange(args.delta)
     if default is None:
-        default = RelativeRange(0.1)
+        default = RelativeRange()
     for item in args.similarity or []:
         name, sep, rule = item.partition("=")
         if not sep:
             raise ConfigError(f"bad similarity override {item!r}; expected COL=RULE")
         overrides[name] = parse_rule(rule)
-    return make_similarity_spec(ds, default=default, overrides=overrides), default, overrides
-
-
-def _thread_count(args) -> int:
-    count = (os.cpu_count() or 1) if args.threads is None else args.threads
-    if count < 1:
-        raise ConfigError(f"thread count must be >= 1, got {count}")
-    return count
+    spec = make_similarity_spec(ds, default=default, overrides=overrides)
+    config = {
+        "schema": ATTRIBUTION_SCHEMA,
+        "command": args.command,
+        "data": str(args.data),
+        "response": args.response,
+        "response_mode": args.response_mode,
+        "schema_overrides": {k: v.value for k, v in schema.items()},
+        "similarity_default": default.token(),
+        "similarity_overrides": {k: v.token() for k, v in sorted(overrides.items())},
+        "n": ds.n,
+        "d": ds.d,
+    }
+    return ds, spec, config
 
 
 def _map_ordered(fn, items, threads: int) -> list:
@@ -245,21 +244,6 @@ def _map_ordered(fn, items, threads: int) -> list:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
-
-
-def _base_config(args, command: str, ds, default, overrides) -> dict:
-    return {
-        "schema": ATTRIBUTION_SCHEMA,
-        "command": command,
-        "data": str(args.data),
-        "response": args.response,
-        "response_mode": args.response_mode,
-        "schema_overrides": {k: v.value for k, v in _schema_overrides(args).items()},
-        "similarity_default": default.token(),
-        "similarity_overrides": {k: v.token() for k, v in sorted(overrides.items())},
-        "n": ds.n,
-        "d": ds.d,
-    }
 
 
 def _write_csv(path, config: dict, header: list, rows) -> None:
@@ -277,12 +261,8 @@ def _write_csv(path, config: dict, header: list, rows) -> None:
 def _cmd_attribute(args) -> int:
     method = METHODS[args.method]
     params = _method_params(args, [args.method])
-    if method.sweep and params[method.sweep] < 1:
-        raise ConfigError(f"--{method.sweep} must be >= 1, got {params[method.sweep]}")
-    ds = _load(args)
-    spec, default, overrides = _similarity_from_args(args, ds)
+    ds, spec, config = _setup(args)
     targets = _parse_targets(args.targets, ds.n)
-    config = _base_config(args, "attribute", ds, default, overrides)
     config.update({"method": args.method, "targets": args.targets})
     config.update({k: params[k] for k in method.options})
 
@@ -290,16 +270,12 @@ def _cmd_attribute(args) -> int:
         ctx, attr, seconds = _attribute_one(ds, spec, args.method, params, t)
         return _record(ctx, args.method, attr), seconds
 
-    results = _map_ordered(one, targets, _thread_count(args))
+    results = _map_ordered(one, targets, args.threads)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(json.dumps(config, sort_keys=True) + "\n")
         for record, _ in results:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
     seconds = [s for _, s in results]
-    sys.stderr.write(
-        f"attributed {len(targets)} target(s) with {args.method}; "
-        f"mean {np.mean(seconds):.4f} s/target\n"
-    )
     if args.timing_out:
         with open(args.timing_out, "w", encoding="utf-8") as fh:
             json.dump(
@@ -307,6 +283,10 @@ def _cmd_attribute(args) -> int:
                 fh, sort_keys=True, indent=2,
             )
             fh.write("\n")
+    sys.stderr.write(  # last, so that a failed run prints nothing but its error line
+        f"attributed {len(targets)} target(s) with {args.method}; "
+        f"mean {np.mean(seconds):.4f} s/target\n"
+    )
     return 0
 
 
@@ -383,9 +363,7 @@ def _record_values(record: dict, ds, where: str) -> tuple[str, int, np.ndarray]:
 
 
 def _cmd_evaluate(args) -> int:
-    ds = _load(args)
-    spec, default, overrides = _similarity_from_args(args, ds)
-    config = _base_config(args, "evaluate", ds, default, overrides)
+    ds, spec, config = _setup(args)
     config["attributions"] = [str(p) for p in args.attributions]
 
     records = []  # (source, method, target, values) in file order
@@ -433,19 +411,15 @@ def _mean_se(scores) -> tuple[list[float], list[float]]:
 
 def _compare_variants(names: list[str], params: dict) -> list[tuple[str, str, dict]]:
     """(method, param label, params) per table row: one row per value of the
-    method's sweep option, one row for a method without one."""
+    method's sweep option (the parsed comma list, or the one default), one
+    row for a method without one."""
     variants = []
     for name in names:
         opt = METHODS[name].sweep
         if opt is None:
             variants.append((name, "", params))
             continue
-        try:
-            values = [int(v) for v in str(params[opt]).split(",")]
-        except ValueError:
-            raise ConfigError(f"--{opt} takes comma-separated integers") from None
-        if min(values) < 1:
-            raise ConfigError(f"--{opt} values must be >= 1, got {params[opt]}")
+        values = params[opt] if isinstance(params[opt], list) else [params[opt]]
         variants.extend((name, f"{opt}={v}", {**params, opt: v}) for v in values)
     return variants
 
@@ -459,11 +433,8 @@ def _cmd_compare(args) -> int:
             raise ConfigError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
     params = _method_params(args, names)
     variants = _compare_variants(names, params)
-    ds = _load(args)
-    spec, default, overrides = _similarity_from_args(args, ds)
+    ds, spec, config = _setup(args)
     targets = _parse_targets(args.targets, ds.n)
-    threads = _thread_count(args)
-    config = _base_config(args, "compare", ds, default, overrides)
     config.update({"methods": args.methods, "targets": args.targets, "seed": params["seed"]})
 
     def one(name, variant, t):
@@ -473,7 +444,7 @@ def _cmd_compare(args) -> int:
 
     rows = []
     for name, label, variant in variants:
-        results = _map_ordered(lambda t: one(name, variant, t), targets, threads)
+        results = _map_ordered(lambda t: one(name, variant, t), targets, args.threads)
         mean, se = _mean_se([scores for scores, _ in results])
         secs = float(np.mean([s for _, s in results]))
         rows.append([name, label, len(targets), repr(mean[0]), repr(se[0]), repr(mean[1]), repr(se[1]), f"{secs:.6f}"])
@@ -490,12 +461,8 @@ def _cmd_compare(args) -> int:
 # diagnose
 
 def _cmd_diagnose(args) -> int:
-    ds = _load(args)
-    spec, default, overrides = _similarity_from_args(args, ds)
+    ds, spec, config = _setup(args)
     targets = _parse_targets(args.targets, ds.n)
-    if args.samples < 1:
-        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
-    config = _base_config(args, "diagnose", ds, default, overrides)
     config.update({"targets": args.targets, "eps": args.eps, "samples": args.samples, "seed": args.seed})
 
     def one(t):
@@ -511,7 +478,7 @@ def _cmd_diagnose(args) -> int:
             repr(corner.bound) if corner else "",
         ]
 
-    rows = _map_ordered(one, targets, _thread_count(args))
+    rows = _map_ordered(one, targets, args.threads)
     _write_csv(args.out, config, [
         "target_index", "eps", "a", "A", "duplicates", "rows_used",
         "mass_estimate", "mass_se", "theorem_bound", "samples", "seed",
@@ -524,12 +491,10 @@ def _cmd_diagnose(args) -> int:
 # similarity
 
 def _cmd_similarity(args) -> int:
-    ds = _load(args)
-    spec, default, overrides = _similarity_from_args(args, ds)
+    ds, spec, config = _setup(args)
+    profile = build_profile(ds, spec, args.target)
     if args.describe:
         sys.stderr.write(dataset_summary(ds) + "\n")
-    profile = build_profile(ds, spec, args.target)
-    config = _base_config(args, "similarity", ds, default, overrides)
     config["target"] = args.target
     _write_csv(args.out, config, ds.column_names, profile.indicators.astype(int).tolist())
     return 0
@@ -537,6 +502,35 @@ def _cmd_similarity(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
+
+class _Parser(argparse.ArgumentParser):
+    """Raises ``ConfigError`` for a bad flag, so that it exits 2 with the
+    same JSON line as every other configuration error."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer >= ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+_count, _seed = _int_at_least(1), _int_at_least(0)
+
+
+def _counts(text: str) -> list[int]:
+    """A comma list of counts: ``compare`` makes one row per value."""
+    return [_count(v) for v in text.split(",")]
+
 
 def _add_dataset_options(parser):
     parser.add_argument("--data", required=True, help="CSV file with a header row")
@@ -552,20 +546,20 @@ def _add_dataset_options(parser):
     parser.add_argument("--config", help="similarity config file (see FORMATS.md)")
     parser.add_argument(
         "--delta", type=float,
-        help="default relative-range delta for numeric columns (default 0.1)",
+        help=f"default relative-range delta for numeric columns (default {RelativeRange().delta})",
     )
     parser.add_argument(
         "--similarity", action="append", metavar="COL=RULE",
         help="per-column rule: equality | relative:D | absolute:W; repeatable",
     )
     parser.add_argument(
-        "--threads", type=int,
+        "--threads", type=_count, default=os.cpu_count() or 1,
         help="target-level parallelism (default: all cores)",
     )
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cohortexplain",
         description="Model-free variable importance from observed data alone",
     )
@@ -575,10 +569,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_dataset_options(p)
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--targets", default="all", help='e.g. "all", "3", "0-99", "1,4,7"')
-    p.add_argument("--steps", type=int, help="quadrature steps (igcs)")
-    p.add_argument("--samples", type=int, help="permutation samples (cs-mc)")
+    p.add_argument("--steps", type=_count, help="quadrature steps (igcs)")
+    p.add_argument("--samples", type=_count, help="permutation samples (cs-mc)")
     p.add_argument("--sigma", type=float, help="kernel bandwidth (gkw)")
-    p.add_argument("--seed", type=int, help="random seed (cs-mc, random)")
+    p.add_argument("--seed", type=_seed, help="random seed (cs-mc, random)")
     p.add_argument("--cap", type=int, help=f"dimension cap for exact methods (default {DEFAULTS['cap']})")
     p.add_argument("--out", required=True, help="output attribution file (JSON lines)")
     p.add_argument("--timing-out", help="optional JSON sidecar with per-target seconds")
@@ -595,10 +589,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_dataset_options(p)
     p.add_argument("--methods", required=True, help="comma-separated method list")
     p.add_argument("--targets", default="all")
-    p.add_argument("--steps", help="comma-separated quadrature steps for igcs rows")
-    p.add_argument("--samples", help="comma-separated sample budgets for cs-mc rows")
+    p.add_argument("--steps", type=_counts, help="comma-separated quadrature steps for igcs rows")
+    p.add_argument("--samples", type=_counts, help="comma-separated sample budgets for cs-mc rows")
     p.add_argument("--sigma", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--cap", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_compare)
@@ -607,8 +601,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_dataset_options(p)
     p.add_argument("--targets", default="all")
     p.add_argument("--eps", type=float, default=0.01)
-    p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=DEFAULTS["seed"])
+    p.add_argument("--samples", type=_count, default=2000)
+    p.add_argument("--seed", type=_seed, default=DEFAULTS["seed"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_diagnose)
 
@@ -626,13 +620,11 @@ def _fail(exc: Exception) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help; a bad flag raises ConfigError
+        return int(exc.code or 0)
     except ConfigError as exc:
         _fail(exc)
         return 2

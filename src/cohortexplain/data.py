@@ -476,7 +476,7 @@ def similarity_widths(ds: Dataset, spec: SimilaritySpec) -> np.ndarray:
 
 def make_similarity_spec(
     ds: Dataset,
-    default: SimilarityRule = RelativeRange(0.1),
+    default: SimilarityRule = RelativeRange(),
     overrides: Optional[dict[str, SimilarityRule]] = None,
 ) -> SimilaritySpec:
     """Build a per-column spec: the default for numeric columns, Equality for

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .shapley import Attribution, _finish
+from .shapley import Attribution, _finish, check_memory
 from .similarity import SimilarityProfile
 
 
@@ -83,8 +83,12 @@ def igcs_attribution(sv: SoftValue, quad: QuadratureSpec = QuadratureSpec()) -> 
     O(R K) for the integrals plus one O(n d) product.
 
     The efficiency gap (nu(1) - nu(0)) - sum(psi) is reported as-is; it
-    shrinks at the quadrature order and is never normalized away.
+    shrinks at the quadrature order and is never normalized away.  Steps
+    whose R x K float64 tables (three live at once) exceed physical memory
+    are refused before they are allocated (``ComputationError``).
     """
+    R, K = quad.steps, len(sv._distinct)
+    check_memory(f"IGCS with {R} steps and {K} distinct counts", 3 * 8 * R * K, "its R x K tables")
     u = 1.0 - quad.nodes()[:, np.newaxis]
     powers = u**sv._distinct
     B = powers @ sv._rows_per

@@ -128,6 +128,17 @@ def physical_memory_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def check_memory(what: str, need: int, of: str) -> None:
+    """Refuse (``ComputationError``), before it is allocated, working memory
+    of ``need`` bytes, held in ``of``, that exceeds physical memory."""
+    have = physical_memory_bytes()
+    if need > have:
+        raise ComputationError(
+            f"{what} needs about {need / 2**30:.1f} GiB for {of}; "
+            f"physical memory is {have / 2**30:.1f} GiB"
+        )
+
+
 def check_lattice(what: str, d: int, tables: int) -> None:
     """Refuse, before anything is allocated, ``tables`` float64 tables over
     the 2^d subsets when d exceeds ``LATTICE_DIMENSION_CAP``
@@ -135,12 +146,7 @@ def check_lattice(what: str, d: int, tables: int) -> None:
     (``ComputationError``)."""
     if d > LATTICE_DIMENSION_CAP:
         raise DimensionTooLarge(d, LATTICE_DIMENSION_CAP)
-    need, have = tables * 8 << d, physical_memory_bytes()
-    if need > have:
-        raise ComputationError(
-            f"{what} at d={d} needs about {need / 2**30:.1f} GiB for its 2^d tables; "
-            f"physical memory is {have / 2**30:.1f} GiB"
-        )
+    check_memory(f"{what} at d={d}", tables * 8 << d, "its 2^d tables")
 
 
 def exact_shapley(nu: ValueFunction, cap: int = DEFAULT_DIMENSION_CAP) -> Attribution:

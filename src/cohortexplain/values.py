@@ -106,8 +106,14 @@ class GkwValue(ValueFunction):
             )
         if not 0 <= target_index < ds.n:
             raise TargetOutOfRange(target_index, ds.n)
-        if not sigma > 0:
-            raise ConfigError(f"sigma must be > 0, got {sigma}")
+        if not 0 < sigma < math.inf:  # an infinite sigma would reach the JSON header as Infinity
+            raise ConfigError(f"sigma must be finite and > 0, got {sigma}")
+        try:
+            self._two_sigma_sq = 2.0 * float(sigma) ** 2
+        except OverflowError:  # every weight is 1, the limit of a growing sigma
+            self._two_sigma_sq = math.inf
+        if self._two_sigma_sq == 0:
+            raise ConfigError(f"sigma {sigma} is too small: 2 * sigma**2 underflows to 0")
         if ridge < 0:
             raise ConfigError(f"ridge must be >= 0, got {ridge}")
         if ds.n < 2:
@@ -158,7 +164,8 @@ class GkwValue(ValueFunction):
                 self._extend(path, u[:k])
         self._extend(path, u)
         d_sq = path[1][len(u)] / len(u)
-        return np.exp(-d_sq / (2.0 * self.sigma**2))
+        with np.errstate(over="ignore"):  # an overflowing exponent gives weight 0, its limit
+            return np.exp(-d_sq / self._two_sigma_sq)
 
     def evaluate(self, u: Sequence[int]) -> float:
         u = tuple(u)

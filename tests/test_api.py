@@ -1,3 +1,4 @@
+import ast
 import pathlib
 import re
 
@@ -32,3 +33,14 @@ def test_numpy_floor_has_the_functions_used():
     floor = re.search(r'"numpy>=(\d+)\.(\d+)[^"]*"', text)
     assert floor is not None
     assert (int(floor[1]), int(floor[2])) >= (2, 0)
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    """Every source file parses with the grammar of the oldest Python that
+    pyproject.toml admits, so newer syntax fails here even when the tests
+    run on a newer interpreter."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', (root / "pyproject.toml").read_text())
+    assert floor is not None
+    for path in sorted((root / "src").rglob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(int(floor[1]), int(floor[2])))

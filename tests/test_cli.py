@@ -96,6 +96,23 @@ def test_attribute_memory_bound_exit_code(tmp_path, capsys, monkeypatch):
     assert err["error"] == "ComputationError" and "physical memory" in err["message"]
 
 
+def test_igcs_memory_bound_exit_code(tmp_path, capsys, monkeypatch):
+    """IGCS refuses steps whose R x K tables exceed physical memory before
+    allocating them, from attribute and compare alike."""
+    from cohortexplain import shapley
+
+    data = write_d3(tmp_path)
+    for command in (["attribute", "--method", "igcs"], ["compare", "--methods", "igcs"]):
+        assert run(*command, *d3_args(data), "--steps", str(10**20), "--targets", "0",
+                   "--out", str(tmp_path / "out")) == 4
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ComputationError" and "physical memory" in err["message"]
+    monkeypatch.setattr(shapley, "physical_memory_bytes", lambda: 1 << 16)  # 3 x 8 x R x K bytes
+    for steps, code in (("1000", 4), ("50", 0)):
+        assert run("attribute", *d3_args(data), "--method", "igcs", "--steps", steps, "--targets", "0",
+                   "--out", str(tmp_path / "out")) == code
+
+
 def test_attribute_param_validation(tmp_path):
     data = write_d3(tmp_path)
     out = tmp_path / "x.jsonl"
@@ -105,6 +122,32 @@ def test_attribute_param_validation(tmp_path):
                "--sigma", "0.5", "--targets", "0", "--out", str(out)) == 2
     assert run("attribute", *d3_args(data), "--method", "cs-exact",
                "--threads", "0", "--targets", "0", "--out", str(out)) == 2
+    assert run("attribute", *d3_args(data), "--method", "gkw",
+               "--sigma", "1e-200", "--targets", "0", "--out", str(out)) == 2  # 2 sigma^2 underflows
+
+
+@pytest.mark.parametrize("options", [
+    "attribute --method cs-mc --seed -1 --out OUT",
+    "attribute --method random --seed -1 --out OUT",
+    "compare --methods cs-mc --seed -1 --out OUT",
+    "diagnose --seed -1 --out OUT",
+    "attribute --method igcs --steps 0 --out OUT",
+    "compare --methods igcs --steps 0 --out OUT",
+    "attribute --method igcs --steps abc --out OUT",
+    "compare --methods igcs --steps 5,x --out OUT",
+    "attribute --method igcs --threads 0 --out OUT",
+    "diagnose --samples 0 --out OUT",
+    "attribute --method bogus --out OUT",
+    "attribute --method igcs",  # no --out
+])
+def test_malformed_option_prints_one_json_line(tmp_path, capsys, options):
+    """Every bad flag, whether argparse or a bound refuses it, exits 2 with
+    the one JSON error line of FORMATS.md and no usage text or traceback."""
+    command, *rest = options.split()
+    rest = [str(tmp_path / "out") if o == "OUT" else o for o in rest]
+    assert run(command, *d3_args(write_d3(tmp_path)), *rest) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "ConfigError"
 
 
 def test_byte_identical_reruns(tmp_path):

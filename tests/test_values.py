@@ -13,6 +13,7 @@ from cohortexplain import (
     CohortValue,
     ColumnKind,
     ComputationError,
+    ConfigError,
     GkwValue,
     SingularCovariance,
     UniquenessValue,
@@ -124,6 +125,18 @@ def test_gkw_univariate_example():
     expected = (math.exp(-50) + 2 * math.exp(-200)) / (1 + math.exp(-50) + math.exp(-200))
     assert gv.evaluate((0,)) == pytest.approx(expected, rel=1e-12)
     assert gv.evaluate((0,)) == pytest.approx(1.93e-22, rel=1e-2)
+
+
+def test_gkw_sigma_at_the_float_limits():
+    """A sigma whose 2 sigma^2 underflows to 0, or an infinite one, is
+    refused; where d^2 / (2 sigma^2) overflows the weight is 0 with no
+    warning, and where sigma^2 overflows every weight is 1."""
+    ds = make_dataset([[0.0], [1.0], [2.0]], [0.0, 1.0, 2.0])
+    for sigma in (1e-200, 1e-170, math.inf):
+        with pytest.raises(ConfigError, match="sigma"):
+            GkwValue(ds, target_index=0, sigma=sigma)
+    np.testing.assert_array_equal(GkwValue(ds, target_index=0, sigma=1.5e-160).weights((0,)), [1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(GkwValue(ds, target_index=0, sigma=1e200).weights((0,)), [1.0, 1.0, 1.0])
 
 
 def test_gkw_affine_invariance_without_ridge():
