@@ -9,17 +9,12 @@ insertion/deletion ABC evaluation, and convergence diagnostics.
 
 from .data import (
     AbsoluteRange,
-    AbsResidual,
     ColumnKind,
     Dataset,
     Equality,
-    Raw,
     RelativeRange,
-    Residual,
     SimilaritySpec,
-    SquaredResidual,
     dataset_summary,
-    feature_ranges,
     load_dataset,
     make_similarity_spec,
     save_dataset,
@@ -73,7 +68,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AbcReport",
     "AbsoluteRange",
-    "AbsResidual",
     "Attribution",
     "CategoricalFeatureUnsupported",
     "CohortExplainError",
@@ -98,14 +92,11 @@ __all__ = [
     "NonNumericValue",
     "QuadratureSpec",
     "RandomBaseline",
-    "Raw",
     "RelativeRange",
-    "Residual",
     "SimilarityProfile",
     "SimilaritySpec",
     "SingularCovariance",
     "SoftValue",
-    "SquaredResidual",
     "TargetOutOfRange",
     "UniquenessValue",
     "ValueFunction",
@@ -117,7 +108,6 @@ __all__ = [
     "corner_convergence",
     "dataset_summary",
     "exact_shapley",
-    "feature_ranges",
     "heps_mass",
     "igcs_attribution",
     "load_dataset",

@@ -24,14 +24,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .data import (
-    AbsResidual,
     ColumnKind,
     Dataset,
-    Raw,
     RelativeRange,
-    Residual,
     SimilaritySpec,
-    SquaredResidual,
     dataset_summary,
     load_dataset,
     make_similarity_spec,
@@ -50,10 +46,11 @@ from .igcs import QuadratureSpec, SoftValue, igcs_attribution
 from .sampling import fisher_yates, rng_from
 from .shapley import DEFAULT_DIMENSION_CAP, Attribution, _finish, exact_shapley, mc_shapley
 from .similarity import SimilarityProfile, build_profile
-from .values import CohortValue, GkwValue, UniquenessValue
+from .values import DEFAULT_SIGMA, CohortValue, GkwValue, UniquenessValue
 
 ATTRIBUTION_SCHEMA = "cohortexplain.attribution/1"
-DEFAULTS = {"steps": 50, "samples": 1000, "sigma": 0.1, "seed": 0, "cap": DEFAULT_DIMENSION_CAP}
+DEFAULTS = {"steps": QuadratureSpec.steps, "samples": 1000, "sigma": DEFAULT_SIGMA, "seed": 0,
+            "cap": DEFAULT_DIMENSION_CAP}
 
 
 # ---------------------------------------------------------------------------
@@ -150,22 +147,6 @@ def _attribute_one(ds, spec, name: str, params: dict, target: int):
 # ---------------------------------------------------------------------------
 # Argument plumbing
 
-def _parse_response_mode(text: str):
-    if text == "raw":
-        return Raw()
-    kind, sep, column = text.partition(":")
-    if sep and column:
-        if kind == "residual":
-            return Residual(column)
-        if kind == "abs-residual":
-            return AbsResidual(column)
-        if kind == "squared-residual":
-            return SquaredResidual(column)
-    raise ConfigError(
-        f"bad response mode {text!r}; expected raw, residual:COL, abs-residual:COL or squared-residual:COL"
-    )
-
-
 def _parse_targets(text: str, n: int) -> list[int]:
     if text.strip() == "all":
         return list(range(n))
@@ -197,14 +178,13 @@ def _parse_targets(text: str, n: int) -> list[int]:
 def _setup(args) -> tuple[Dataset, SimilaritySpec, dict]:
     """The dataset, its similarity spec and the output header's common
     fields.  Similarity rules: the config file first, CLI flags override."""
-    mode = _parse_response_mode(args.response_mode)
     schema = {}
     for item in args.schema or []:
         name, sep, kind = item.partition("=")
         if not sep or kind not in ("numeric", "categorical"):
             raise ConfigError(f"bad schema override {item!r}; expected COL=numeric|categorical")
         schema[name] = ColumnKind(kind)
-    ds = load_dataset(args.data, args.response, mode, schema or None)
+    ds = load_dataset(args.data, args.response, args.response_mode, schema or None)
     default, overrides = None, {}
     if args.config:
         try:
@@ -573,7 +553,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_count, help="permutation samples (cs-mc)")
     p.add_argument("--sigma", type=float, help="kernel bandwidth (gkw)")
     p.add_argument("--seed", type=_seed, help="random seed (cs-mc, random)")
-    p.add_argument("--cap", type=int, help=f"dimension cap for exact methods (default {DEFAULTS['cap']})")
+    p.add_argument("--cap", type=_count, help=f"dimension cap for exact methods (default {DEFAULTS['cap']})")
     p.add_argument("--out", required=True, help="output attribution file (JSON lines)")
     p.add_argument("--timing-out", help="optional JSON sidecar with per-target seconds")
     p.set_defaults(func=_cmd_attribute)
@@ -593,7 +573,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_counts, help="comma-separated sample budgets for cs-mc rows")
     p.add_argument("--sigma", type=float)
     p.add_argument("--seed", type=_seed)
-    p.add_argument("--cap", type=int)
+    p.add_argument("--cap", type=_count)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_compare)
 

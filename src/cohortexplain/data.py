@@ -26,7 +26,7 @@ import csv
 import enum
 import io
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -123,27 +123,29 @@ class SimilaritySpec:
 # ---------------------------------------------------------------------------
 # Response modes
 
-@dataclass(frozen=True)
-class Raw:
-    """Use the response column as-is."""
+# The response vector of each residual mode, from the response column y and
+# the prediction column pred; mode "raw" takes y as-is.
+_RESIDUALS = {
+    "residual": lambda y, pred: y - pred,
+    "abs-residual": lambda y, pred: np.abs(y - pred),
+    "squared-residual": lambda y, pred: (y - pred) ** 2,
+}
 
 
-@dataclass(frozen=True)
-class Residual:
-    prediction_column: str
-
-
-@dataclass(frozen=True)
-class AbsResidual:
-    prediction_column: str
-
-
-@dataclass(frozen=True)
-class SquaredResidual:
-    prediction_column: str
-
-
-ResponseMode = Union[Raw, Residual, AbsResidual, SquaredResidual]
+def _parse_response_mode(mode: str, response_column: str) -> tuple[Optional[Callable], Optional[str]]:
+    """The residual function and the prediction column of a token ``raw``
+    (None and None), ``residual:COL``, ``abs-residual:COL`` or
+    ``squared-residual:COL``."""
+    if mode == "raw":
+        return None, None
+    kind, sep, column = mode.partition(":")
+    if not (sep and column and kind in _RESIDUALS):
+        raise ConfigError(
+            f"bad response mode {mode!r}; expected raw, residual:COL, abs-residual:COL or squared-residual:COL"
+        )
+    if column == response_column:
+        raise ConfigError(f"prediction column {column!r} is the response column")
+    return _RESIDUALS[kind], column
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +156,13 @@ class Dataset:
     """Immutable n x d feature matrix plus an n-vector of responses.
 
     Numeric columns hold the parsed reals; categorical columns hold integer
-    codes assigned in first-appearance order, with the original labels kept
-    in ``categories``.  Arrays are read-only so the dataset can be shared
-    across parallel workers.  Datasets compare and hash by identity.
+    codes, code k standing for label ``categories[j][k]``.  ``categories``
+    is the one statement of each column's kind: None for a numeric column,
+    the tuple of distinct labels for a categorical one; ``kinds`` is derived
+    from it.  A code that is not an integer in [0, len(labels)), or a label
+    that repeats, is a ``DataError``.  Arrays are read-only so the dataset
+    can be shared across parallel workers.  Datasets compare and hash by
+    identity.
 
     The column facts that every similarity width and profile reads are
     computed once, from one min/max pass over the features:
@@ -171,9 +177,9 @@ class Dataset:
     features: np.ndarray
     responses: np.ndarray
     column_names: tuple[str, ...]
-    kinds: tuple[ColumnKind, ...]
     categories: tuple[Optional[tuple[str, ...]], ...]
     response_name: str = "y"
+    kinds: tuple[ColumnKind, ...] = field(init=False)
     categorical: np.ndarray = field(init=False, repr=False)
     low: np.ndarray = field(init=False, repr=False)
     high: np.ndarray = field(init=False, repr=False)
@@ -191,15 +197,22 @@ class Dataset:
         if resp.shape != (n,):
             raise DataError(f"responses must have length {n}, got shape {resp.shape}")
         names = tuple(self.column_names)
-        kinds = tuple(self.kinds)
         cats = tuple(tuple(c) if c is not None else None for c in self.categories)
-        if not len(names) == len(kinds) == len(cats) == d:
+        if not len(names) == len(cats) == d:
             raise DataError("column metadata length must equal d")
         if not np.all(np.isfinite(feats)):
             raise DataError("features contain non-finite values")
         if not np.all(np.isfinite(resp)):
             raise DataError("responses contain non-finite values")
-        categorical = np.array([kind is ColumnKind.CATEGORICAL for kind in kinds], dtype=bool)
+        categorical = np.array([c is not None for c in cats], dtype=bool)
+        for j in np.flatnonzero(categorical):
+            labels, codes = cats[j], feats[:, j]
+            if len(set(labels)) != len(labels):
+                raise DataError(f"categorical column {names[j]!r} repeats a label")
+            if not ((codes >= 0) & (codes < len(labels)) & (codes == np.trunc(codes))).all():
+                raise DataError(
+                    f"categorical column {names[j]!r} has a code that is not an integer in [0, {len(labels)})"
+                )
         low, high = feats.min(axis=0), feats.max(axis=0)
         with np.errstate(over="ignore"):
             ranges = np.where(categorical, 0.0, high - low)
@@ -218,8 +231,9 @@ class Dataset:
                 arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "column_names", names)
-        object.__setattr__(self, "kinds", kinds)
         object.__setattr__(self, "categories", cats)
+        object.__setattr__(self, "kinds", tuple(
+            ColumnKind.NUMERIC if c is None else ColumnKind.CATEGORICAL for c in cats))
 
     @property
     def n(self) -> int:
@@ -317,15 +331,17 @@ def _read_plain(raw: bytes) -> Optional[tuple[list[str], np.ndarray]]:
 def load_dataset(
     path,
     response_column: str,
-    response_mode: ResponseMode = Raw(),
+    response_mode: str = "raw",
     schema_overrides: Optional[dict[str, ColumnKind]] = None,
 ) -> Dataset:
     """Load and validate a CSV file into a Dataset.
 
-    The response vector is the raw response column, or its residual against
-    the named prediction column (plain, absolute, or squared) depending on
-    ``response_mode``.  The response and prediction columns are excluded
-    from the feature matrix; feature column order is preserved.
+    ``response_mode`` is the CLI's ``--response-mode`` token: ``raw`` takes
+    the response column as-is, and ``residual:COL``, ``abs-residual:COL``
+    and ``squared-residual:COL`` take y - pred, |y - pred| and
+    (y - pred)^2 against the prediction column COL, which must be another
+    column than the response.  The response and prediction columns are
+    excluded from the feature matrix; feature column order is preserved.
     ``schema_overrides`` maps column names to a ColumnKind and wins over
     type inference.
 
@@ -333,6 +349,7 @@ def load_dataset(
     path (see the module docstring); every other file, and every file the
     fast path declines, by the reference loader, with the same result.
     """
+    residual, pred_column = _parse_response_mode(response_mode, response_column)
     overrides = dict(schema_overrides or {})
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -350,7 +367,6 @@ def load_dataset(
 
     if response_column not in header:
         raise MissingColumn(response_column)
-    pred_column = getattr(response_mode, "prediction_column", None)
     if pred_column is not None and pred_column not in header:
         raise MissingColumn(pred_column)
     for name in (response_column, pred_column):
@@ -369,31 +385,17 @@ def load_dataset(
         return table[:, i]
 
     y = numeric(response_column, NonNumericResponse)
-    if pred_column is None:
-        responses = y
-    else:
-        pred = numeric(pred_column, NonNumericResponse)
-        if isinstance(response_mode, Residual):
-            responses = y - pred
-        elif isinstance(response_mode, AbsResidual):
-            responses = np.abs(y - pred)
-        elif isinstance(response_mode, SquaredResidual):
-            responses = (y - pred) ** 2
-        else:
-            raise ConfigError(f"unknown response mode {response_mode!r}")
+    responses = y if residual is None else residual(y, numeric(pred_column, NonNumericResponse))
 
     feature_names = [c for c in header if c != response_column and c != pred_column]
     if not feature_names:
         raise EmptyDataset(f"{path}: no feature columns besides the response")
 
     matrix = table.take([index[name] for name in feature_names], axis=1)  # C order, as BLAS callers expect
-    kinds: list[ColumnKind] = []
     categories: list[Optional[tuple[str, ...]]] = []
     for j, name in enumerate(feature_names):
         i = index[name]
-        kind = overrides.get(name)
-        if kind is None:
-            kind = ColumnKind.NUMERIC if finite[i] else ColumnKind.CATEGORICAL
+        kind = overrides.get(name, ColumnKind.NUMERIC if finite[i] else ColumnKind.CATEGORICAL)
         if kind is ColumnKind.NUMERIC:
             numeric(name, NonNumericValue)  # raises if an override forced a non-real column
             categories.append(None)
@@ -401,20 +403,18 @@ def load_dataset(
             codes: dict[str, int] = {}
             matrix[:, j] = [codes.setdefault(row[i], len(codes)) for row in data]
             categories.append(tuple(codes))
-        kinds.append(kind)
 
     return Dataset(
         features=matrix,
         responses=responses,
         column_names=tuple(feature_names),
-        kinds=tuple(kinds),
         categories=tuple(categories),
         response_name=response_column,
     )
 
 
 def save_dataset(ds: Dataset, path) -> None:
-    """Write the dataset back to CSV so that a Raw reload round-trips exactly.
+    """Write the dataset back to CSV so that a ``raw`` reload round-trips exactly.
 
     Numeric cells use the shortest round-trip float representation;
     categorical cells are written as their original labels.
@@ -433,20 +433,13 @@ def save_dataset(ds: Dataset, path) -> None:
             writer.writerow(row)
 
 
-def feature_ranges(ds: Dataset) -> np.ndarray:
-    """Per-column range max - min; defined as 0 for categorical columns.
-    A range past the largest float is inf, without a warning."""
-    return ds.ranges
-
-
 def dataset_summary(ds: Dataset) -> str:
     """Structured text report: n, d, column types and ranges."""
-    ranges = feature_ranges(ds)
     width = max(len(name) for name in ds.column_names)
     lines = [f"dataset: n={ds.n} rows, d={ds.d} features, response={ds.response_name}"]
     for j, name in enumerate(ds.column_names):
         if ds.kinds[j] is ColumnKind.NUMERIC:
-            detail = f"range={float(ranges[j])!r}"
+            detail = f"range={float(ds.ranges[j])!r}"
         else:
             detail = f"levels={len(ds.categories[j])}"
         lines.append(f"  {name.ljust(width)}  {ds.kinds[j].value:<12} {detail}")

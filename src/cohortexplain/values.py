@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import ColumnKind, Dataset
+from .data import Dataset
 from .errors import (
     CategoricalFeatureUnsupported,
     ConfigError,
@@ -17,6 +17,9 @@ from .errors import (
 )
 from .shapley import ValueFunction, check_lattice, depth_first_subsets
 from .similarity import SimilarityProfile, cohort, feature_subset, refinement_path, superset_tables
+
+#: GkwValue's kernel bandwidth, also the CLI's ``--sigma`` default.
+DEFAULT_SIGMA = 0.1
 
 
 class CohortValue(ValueFunction):
@@ -98,9 +101,9 @@ class GkwValue(ValueFunction):
     always passes the default ridge.
     """
 
-    def __init__(self, ds: Dataset, target_index: int, sigma: float = 0.1, ridge: float = 1e-6):
+    def __init__(self, ds: Dataset, target_index: int, sigma: float = DEFAULT_SIGMA, ridge: float = 1e-6):
         super().__init__(ds.d)
-        if any(kind is ColumnKind.CATEGORICAL for kind in ds.kinds):
+        if ds.categorical.any():
             raise CategoricalFeatureUnsupported(
                 "the kernel-weight value function needs all-numeric features"
             )

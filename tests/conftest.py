@@ -15,19 +15,20 @@ D3_RESPONSES = np.array([1.0, 2.0, 3.0])
 
 
 def make_dataset(features, responses, kinds=None, names=None, response_name="y") -> Dataset:
+    """A dataset whose categorical columns (by ``kinds``) hold codes 0..k,
+    labelled "0".."k"."""
     features = np.asarray(features, dtype=float)
     d = features.shape[1]
     kinds = tuple(kinds) if kinds is not None else (ColumnKind.NUMERIC,) * d
     names = tuple(names) if names is not None else tuple(f"x{j + 1}" for j in range(d))
     categories = tuple(
-        tuple(str(v) for v in sorted(set(features[:, j]))) if kinds[j] is ColumnKind.CATEGORICAL else None
+        tuple(str(k) for k in range(int(features[:, j].max()) + 1)) if kinds[j] is ColumnKind.CATEGORICAL else None
         for j in range(d)
     )
     return Dataset(
         features=features,
         responses=np.asarray(responses, dtype=float),
         column_names=names,
-        kinds=kinds,
         categories=categories,
         response_name=response_name,
     )

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import os
 import subprocess
@@ -126,6 +127,19 @@ def test_attribute_param_validation(tmp_path):
                "--sigma", "1e-200", "--targets", "0", "--out", str(out)) == 2  # 2 sigma^2 underflows
 
 
+def test_defaults_are_the_library_defaults():
+    """The CLI's method defaults are read from the library, not copied."""
+    from cohortexplain import GkwValue, QuadratureSpec, exact_shapley, mc_shapley
+
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    assert cli.DEFAULTS["steps"] == QuadratureSpec().steps
+    assert cli.DEFAULTS["sigma"] == default(GkwValue, "sigma")
+    assert cli.DEFAULTS["cap"] == default(exact_shapley, "cap")
+    assert cli.DEFAULTS["seed"] == default(mc_shapley, "seed")
+
+
 @pytest.mark.parametrize("options", [
     "attribute --method cs-mc --seed -1 --out OUT",
     "attribute --method random --seed -1 --out OUT",
@@ -136,6 +150,8 @@ def test_attribute_param_validation(tmp_path):
     "attribute --method igcs --steps abc --out OUT",
     "compare --methods igcs --steps 5,x --out OUT",
     "attribute --method igcs --threads 0 --out OUT",
+    "attribute --method cs-exact --cap 0 --out OUT",
+    "compare --methods cs-exact --cap -1 --out OUT",
     "diagnose --samples 0 --out OUT",
     "attribute --method bogus --out OUT",
     "attribute --method igcs",  # no --out
@@ -485,9 +501,10 @@ def test_residual_mode_cli(tmp_path):
                "--method", "cs-exact", "--targets", "0", "--out", str(out)) == 0
     header, records = read_attribution(out)
     assert records[0]["nu_empty"] == pytest.approx(1.0)  # mean of [0,1,2]
-    assert run("attribute", "--data", str(path), "--response", "y",
-               "--response-mode", "bogus", "--similarity", "x=equality",
-               "--method", "cs-exact", "--targets", "0", "--out", str(out)) == 2
+    for mode in ("bogus", "residual:y"):  # y is the response column
+        assert run("attribute", "--data", str(path), "--response", "y",
+                   "--response-mode", mode, "--similarity", "x=equality",
+                   "--method", "cs-exact", "--targets", "0", "--out", str(out)) == 2
 
 
 def _counting(monkeypatch, name):

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from cohortexplain import (
     AbsoluteRange,
-    AbsResidual,
     ColumnKind,
     ConfigError,
     DataError,
@@ -25,15 +24,12 @@ from cohortexplain import (
     NonNumericResponse,
     NonNumericValue,
     RelativeRange,
-    Residual,
-    SquaredResidual,
     dataset_summary,
-    feature_ranges,
     load_dataset,
     make_similarity_spec,
     save_dataset,
 )
-from cohortexplain import data
+from cohortexplain import cli, data
 from cohortexplain.cli import main
 from cohortexplain.data import parse_rule, parse_similarity_config
 
@@ -58,15 +54,48 @@ def test_identity_load(tmp_path):
 
 def test_residual_modes(tmp_path):
     path = write(tmp_path / "d.csv", "a,y,pred\n0,1,1\n0,2,1\n0,3,1\n")
-    residual = load_dataset(path, "y", Residual("pred"))
+    residual = load_dataset(path, "y", "residual:pred")
     np.testing.assert_array_equal(residual.responses, [0.0, 1.0, 2.0])
     assert residual.column_names == ("a",)
 
     path2 = write(tmp_path / "d2.csv", "a,y,pred\n0,1,3\n0,2,3\n0,5,3\n")
-    absres = load_dataset(path2, "y", AbsResidual("pred"))
+    absres = load_dataset(path2, "y", "abs-residual:pred")
     np.testing.assert_array_equal(absres.responses, [2.0, 1.0, 2.0])
-    sqres = load_dataset(path2, "y", SquaredResidual("pred"))
+    sqres = load_dataset(path2, "y", "squared-residual:pred")
     np.testing.assert_array_equal(sqres.responses, [4.0, 1.0, 4.0])
+
+
+@pytest.mark.parametrize("mode, want", [
+    ("residual:pred", [-1.5, 2.25, 2.0]),
+    ("abs-residual:pred", [1.5, 2.25, 2.0]),
+    ("squared-residual:pred", [2.25, 5.0625, 4.0]),
+])
+def test_library_takes_the_cli_response_mode(tmp_path, monkeypatch, mode, want):
+    """load_dataset takes the --response-mode token and gives the responses
+    that the CLI attributes."""
+    path = write(tmp_path / "d.csv", "a,y,pred\n0,1.5,3\n1,2,-0.25\n0,5,3\n")
+    loaded = []
+
+    def spy(*args):
+        loaded.append(load_dataset(*args))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "load_dataset", spy)
+    assert main(["similarity", "--data", str(path), "--response", "y", "--response-mode", mode,
+                 "--target", "0", "--out", str(tmp_path / "s.csv")]) == 0
+    (ds,) = loaded
+    assert ds.responses.tobytes() == load_dataset(path, "y", mode).responses.tobytes()
+    np.testing.assert_array_equal(ds.responses, want)
+
+
+def test_prediction_column_must_differ_from_response(tmp_path):
+    path = write(tmp_path / "d.csv", "a,y\n0,1\n1,2\n")
+    for mode in ("residual:y", "abs-residual:y", "squared-residual:y"):
+        with pytest.raises(ConfigError, match="'y' is the response column"):
+            load_dataset(path, "y", mode)
+    for mode in ("bogus", "residual:", "residual"):
+        with pytest.raises(ConfigError, match="bad response mode"):
+            load_dataset(path, "y", mode)
 
 
 def test_missing_value_names_row_and_column(tmp_path):
@@ -82,7 +111,7 @@ def test_missing_column_and_empty(tmp_path):
     with pytest.raises(MissingColumn):
         load_dataset(path, "z")
     with pytest.raises(MissingColumn):
-        load_dataset(path, "y", Residual("pred"))
+        load_dataset(path, "y", "residual:pred")
     empty = write(tmp_path / "e.csv", "a,y\n")
     with pytest.raises(EmptyDataset):
         load_dataset(empty, "y")
@@ -430,13 +459,13 @@ def test_load_reports_first_fault_in_row_major_order(tmp_path, rows, error, faul
 
 def test_feature_ranges():
     ds = make_dataset([[0.0], [5.0], [10.0]], [0, 0, 0])
-    np.testing.assert_array_equal(feature_ranges(ds), [10.0])
+    np.testing.assert_array_equal(ds.ranges, [10.0])
     const = make_dataset([[7.0], [7.0], [7.0]], [0, 0, 0])
-    np.testing.assert_array_equal(feature_ranges(const), [0.0])
+    np.testing.assert_array_equal(const.ranges, [0.0])
     two = make_dataset([[0.0, 1.0], [2.0, 3.0]], [0, 0])
-    np.testing.assert_array_equal(feature_ranges(two), [2.0, 2.0])
+    np.testing.assert_array_equal(two.ranges, [2.0, 2.0])
     cat = make_dataset([[0.0], [3.0]], [0, 0], kinds=(ColumnKind.CATEGORICAL,))
-    np.testing.assert_array_equal(feature_ranges(cat), [0.0])
+    np.testing.assert_array_equal(cat.ranges, [0.0])
 
 
 def test_round_trip(tmp_path):
@@ -457,7 +486,7 @@ def test_round_trip(tmp_path):
 
 def test_residual_round_trip_reloads_raw(tmp_path):
     path = write(tmp_path / "d.csv", "a,y,pred\n1,1,4\n2,2,4\n")
-    ds = load_dataset(path, "y", Residual("pred"))
+    ds = load_dataset(path, "y", "residual:pred")
     out = tmp_path / "out.csv"
     save_dataset(ds, out)
     again = load_dataset(out, "y")
@@ -488,9 +517,37 @@ def test_dataset_validation():
             features=np.empty((0, 2)),
             responses=np.empty(0),
             column_names=("a", "b"),
-            kinds=(ColumnKind.NUMERIC,) * 2,
             categories=(None, None),
         )
+
+
+def test_dataset_kinds_follow_the_labels(tmp_path):
+    """A column's kind is stated once, by its labels: None makes it numeric
+    and labels make it categorical.  Codes that are not integers in
+    [0, len(labels)) and repeated labels are a DataError, so every dataset
+    built can be summarized and saved."""
+    def build(column, labels):
+        return Dataset(features=np.array(column, dtype=float)[:, np.newaxis], responses=np.zeros(len(column)),
+                       column_names=("c",), categories=(labels,))
+
+    numeric = build([2.0, 0.5], None)
+    assert numeric.kinds == (ColumnKind.NUMERIC,) and not numeric.categorical.any()
+    labelled = build([1.0, 0.0, 1.0], ("red", "blue"))
+    assert labelled.kinds == (ColumnKind.CATEGORICAL,) and labelled.categorical.all()
+    for ds, detail, cells in ((numeric, "numeric range=1.5", ["2.0", "0.5"]),
+                              (labelled, "categorical levels=2", ["blue", "red", "blue"])):
+        assert dataset_summary(ds).splitlines()[1].split() == ["c", *detail.split()]
+        save_dataset(ds, tmp_path / "out.csv")
+        assert (tmp_path / "out.csv").read_text(encoding="utf-8") == "c,y\n" + "".join(f"{c},0.0\n" for c in cells)
+    for column, labels in [
+        ([0.0, 2.0], ("a", "b")),  # past the last label
+        ([-1.0], ("a",)),
+        ([0.5], ("a", "b")),
+        ([0.0], ()),
+        ([0.0, 1.0], ("a", "a")),  # a repeated label
+    ]:
+        with pytest.raises(DataError, match="categorical column 'c'"):
+            build(column, labels)
 
 
 def test_rule_validation():
