@@ -17,7 +17,6 @@ from .data import (
     dataset_summary,
     load_dataset,
     make_similarity_spec,
-    save_dataset,
 )
 from .diagnostics import (
     ConvergenceReport,
@@ -46,11 +45,9 @@ from .errors import (
 )
 from .evaluation import (
     AbcReport,
-    RandomBaseline,
     abc_report,
     abc_scores,
     conditional_curves,
-    random_ordering_baseline,
     variable_ordering,
 )
 from .igcs import QuadratureSpec, SoftValue, igcs_attribution
@@ -91,7 +88,6 @@ __all__ = [
     "NonNumericResponse",
     "NonNumericValue",
     "QuadratureSpec",
-    "RandomBaseline",
     "RelativeRange",
     "SimilarityProfile",
     "SimilaritySpec",
@@ -113,8 +109,6 @@ __all__ = [
     "load_dataset",
     "make_similarity_spec",
     "mc_shapley",
-    "random_ordering_baseline",
-    "save_dataset",
     "second_order_weights",
     "variable_ordering",
 ]

@@ -107,7 +107,7 @@ def _random(t: TargetContext, p: dict) -> Attribution:
     d, nu = t.profile.d, t.value
     values = np.empty(d)
     values[fisher_yates(rng_from(p["seed"], t.target), d)] = np.arange(d, 0, -1, dtype=float)
-    return _finish("random", values, nu.evaluate(()), nu.evaluate(tuple(range(d))), t.target, seed=p["seed"])
+    return _finish(values, nu.evaluate(()), nu.evaluate(tuple(range(d))), t.target, seed=p["seed"])
 
 
 METHODS = {
@@ -294,6 +294,8 @@ def _json_object(text: str, where: str) -> dict:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"{where}: not valid JSON ({exc.msg})") from None
+    except RecursionError:
+        raise DataError(f"{where}: not valid JSON (nested too deeply)") from None
     if not isinstance(obj, dict):
         raise DataError(f"{where}: expected a JSON object, got {type(obj).__name__}")
     return obj

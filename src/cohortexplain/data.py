@@ -413,26 +413,6 @@ def load_dataset(
     )
 
 
-def save_dataset(ds: Dataset, path) -> None:
-    """Write the dataset back to CSV so that a ``raw`` reload round-trips exactly.
-
-    Numeric cells use the shortest round-trip float representation;
-    categorical cells are written as their original labels.
-    """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(ds.column_names) + [ds.response_name])
-        for i in range(ds.n):
-            row = []
-            for j, kind in enumerate(ds.kinds):
-                if kind is ColumnKind.NUMERIC:
-                    row.append(repr(float(ds.features[i, j])))
-                else:
-                    row.append(ds.categories[j][int(ds.features[i, j])])
-            row.append(repr(float(ds.responses[i])))
-            writer.writerow(row)
-
-
 def dataset_summary(ds: Dataset) -> str:
     """Structured text report: n, d, column types and ranges."""
     width = max(len(name) for name in ds.column_names)

@@ -10,8 +10,22 @@ class CohortExplainError(Exception):
 
 
 class ConfigError(CohortExplainError):
-    """Invalid configuration: bad rule parameters, malformed config files,
-    or inconsistent CLI option combinations."""
+    """Invalid configuration: bad rule parameters, out-of-range arguments
+    (a target row or ``eps``), malformed config files, or inconsistent CLI
+    option combinations."""
+
+
+class TargetOutOfRange(ConfigError):
+    def __init__(self, target: int, n: int):
+        super().__init__(f"target index {target} outside [0, {n})")
+        self.target = target
+        self.n = n
+
+
+class EpsOutOfRange(ConfigError):
+    def __init__(self, eps: float):
+        super().__init__(f"eps must lie in (0, 1), got {eps}")
+        self.eps = eps
 
 
 class DataError(CohortExplainError):
@@ -61,24 +75,11 @@ class ComputationError(CohortExplainError):
     """A computation was requested outside its domain of validity."""
 
 
-class TargetOutOfRange(ComputationError):
-    def __init__(self, target: int, n: int):
-        super().__init__(f"target index {target} outside [0, {n})")
-        self.target = target
-        self.n = n
-
-
 class DimensionTooLarge(ComputationError):
     def __init__(self, d: int, cap: int):
         super().__init__(f"dimension {d} exceeds the cap of {cap}")
         self.d = d
         self.cap = cap
-
-
-class EpsOutOfRange(ComputationError):
-    def __init__(self, eps: float):
-        super().__init__(f"eps must lie in (0, 1), got {eps}")
-        self.eps = eps
 
 
 class SingularCovariance(ComputationError):

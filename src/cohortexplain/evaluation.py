@@ -15,7 +15,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .sampling import fisher_yates, rng_from
 from .shapley import Attribution
 from .similarity import refinement_path
 from .values import CohortValue
@@ -25,7 +24,6 @@ from .values import CohortValue
 class AbcReport:
     """Curves and scores for one attribution at one target."""
 
-    ordering: tuple[int, ...]
     insertion_curve: np.ndarray
     deletion_curve: np.ndarray
     abc_insertion: float
@@ -77,60 +75,14 @@ def abc_scores(insertion_curve, deletion_curve) -> tuple[float, float]:
 
 
 def abc_report(cv: CohortValue, values: Union[Attribution, np.ndarray]) -> AbcReport:
-    """Ordering, curves and both ABC scores for one attribution."""
-    ordering = variable_ordering(values)
-    insertion, deletion = conditional_curves(cv, ordering)
+    """Curves and both ABC scores for one attribution, taken along its
+    ``variable_ordering``."""
+    insertion, deletion = conditional_curves(cv, variable_ordering(values))
     abc_ins, abc_del = abc_scores(insertion, deletion)
     return AbcReport(
-        ordering=tuple(ordering.tolist()),
         insertion_curve=insertion,
         deletion_curve=deletion,
         abc_insertion=abc_ins,
         abc_deletion=abc_del,
         target_index=cv.target_index,
-    )
-
-
-@dataclass(frozen=True)
-class RandomBaseline:
-    """Mean and standard error of ABC scores under random orderings."""
-
-    trials: int
-    mean_insertion: float
-    mean_deletion: float
-    mean_sum: float
-    se_insertion: float
-    se_deletion: float
-    se_sum: float
-
-
-def random_ordering_baseline(cv: CohortValue, trials: int, seed: int = 0) -> RandomBaseline:
-    """ABC statistics for uniformly random variable orderings.
-
-    Averaged over all d! orderings the sum of insertion and deletion ABCs is
-    exactly zero; the sampled mean converges there, making this the null
-    reference against which attribution methods are compared.
-    """
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
-    rng = rng_from(seed)
-    ins = np.empty(trials)
-    dele = np.empty(trials)
-    for trial in range(trials):
-        ordering = fisher_yates(rng, cv.d)
-        curves = conditional_curves(cv, ordering)
-        ins[trial], dele[trial] = abc_scores(*curves)
-    total = ins + dele
-
-    def se(x):
-        return float(x.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-
-    return RandomBaseline(
-        trials=trials,
-        mean_insertion=float(ins.mean()),
-        mean_deletion=float(dele.mean()),
-        mean_sum=float(total.mean()),
-        se_insertion=se(ins),
-        se_deletion=se(dele),
-        se_sum=se(total),
     )

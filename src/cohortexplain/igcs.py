@@ -99,6 +99,6 @@ def igcs_attribution(sv: SoftValue, quad: QuadratureSpec = QuadratureSpec()) -> 
     w = sv.responses * a[sv._bucket] + b[sv._bucket]
     psi = w @ sv.profile.dissimilar
     return _finish(
-        "igcs", psi, sv.grand_mean, sv.refined_mean, sv.profile.target_index,
+        psi, sv.grand_mean, sv.refined_mean, sv.profile.target_index,
         steps=quad.steps,
     )

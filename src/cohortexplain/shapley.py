@@ -98,7 +98,6 @@ class Attribution:
     estimates only.
     """
 
-    method: str
     values: np.ndarray
     nu_empty: float
     nu_full: float
@@ -108,11 +107,10 @@ class Attribution:
     meta: dict = field(default_factory=dict)
 
 
-def _finish(method, values, nu_empty, nu_full, target_index, stderr=None, **meta) -> Attribution:
+def _finish(values, nu_empty, nu_full, target_index, stderr=None, **meta) -> Attribution:
     values = np.asarray(values, dtype=float)
     gap = (nu_full - nu_empty) - float(values.sum())
     return Attribution(
-        method=method,
         values=values,
         nu_empty=float(nu_empty),
         nu_full=float(nu_full),
@@ -170,9 +168,7 @@ def exact_shapley(nu: ValueFunction, cap: int = DEFAULT_DIMENSION_CAP) -> Attrib
     for j in range(d):
         pairs = vals.reshape(-1, 2, 1 << j)
         phi[j] = np.sum(W.reshape(-1, 2, 1 << j)[:, 0, :] * (pairs[:, 1, :] - pairs[:, 0, :]))
-    return _finish(
-        "exact", phi, vals[0], vals[-1], nu.target_index, evaluations=1 << d
-    )
+    return _finish(phi, vals[0], vals[-1], nu.target_index, evaluations=1 << d)
 
 
 def mc_shapley(
@@ -208,6 +204,6 @@ def mc_shapley(
     nu_full = nu.evaluate(tuple(range(d)))
     label = seed if isinstance(seed, int) else None
     return _finish(
-        "permutation-mc", values, nu_empty, nu_full, nu.target_index,
+        values, nu_empty, nu_full, nu.target_index,
         stderr=stderr, samples=samples, seed=label,
     )

@@ -10,12 +10,12 @@ PUBLIC = [
     "ConfigError", "ConvergenceReport", "CornerReport", "DataError", "Dataset", "DimensionMismatch",
     "DimensionTooLarge", "EmptyDataset", "EmptyDissimSet", "EpsOutOfRange", "Equality", "GkwValue",
     "MissingColumn", "MissingValue", "NonNumericResponse", "NonNumericValue", "QuadratureSpec",
-    "RandomBaseline", "RelativeRange", "SimilarityProfile", "SimilaritySpec",
+    "RelativeRange", "SimilarityProfile", "SimilaritySpec",
     "SingularCovariance", "SoftValue", "TargetOutOfRange", "UniquenessValue",
     "ValueFunction", "abc_report", "abc_scores", "build_profile", "cohort", "conditional_curves",
     "corner_convergence", "dataset_summary", "exact_shapley",
     "heps_mass", "igcs_attribution", "load_dataset", "make_similarity_spec", "mc_shapley",
-    "random_ordering_baseline", "save_dataset", "second_order_weights", "variable_ordering",
+    "second_order_weights", "variable_ordering",
 ]
 
 

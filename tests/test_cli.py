@@ -167,13 +167,17 @@ def test_malformed_option_prints_one_json_line(tmp_path, capsys, options):
 
 
 def test_byte_identical_reruns(tmp_path):
+    """A seeded method writes the same bytes on every run, and another
+    ``--seed`` draws other values."""
     data = write_d3(tmp_path)
-    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    for out in (a, b):
-        assert run("attribute", *d3_args(data), "--method", "cs-mc",
-                   "--samples", "50", "--seed", "9", "--targets", "all",
-                   "--out", str(out)) == 0
-    assert a.read_bytes() == b.read_bytes()
+    for method in (["cs-mc", "--samples", "50"], ["random"]):
+        outs = [tmp_path / f"{name}.jsonl" for name in ("a", "b", "other")]
+        for out, seed in zip(outs, ("9", "9", "10")):
+            assert run("attribute", *d3_args(data), "--method", *method,
+                       "--seed", seed, "--targets", "all", "--out", str(out)) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        values = [[r["values"] for r in read_attribution(out)[1]] for out in (outs[0], outs[2])]
+        assert values[0] != values[1]
 
 
 def test_threads_do_not_change_output(tmp_path):
@@ -267,6 +271,8 @@ def _without(record, key):
     pytest.param(2, lambda h, r: (h, {**r, "values": {"x1": 1.0, "x2": float("-inf")}}), id="infinite-value"),
     pytest.param(2, lambda h, r: (h, {**r, "values": {"x1": 10**400, "x2": 1.0}}), id="int-beyond-double"),
     pytest.param(2, lambda h, r: (h, {**r, "values": {"x1": True, "x2": 1.0}}), id="bool-value"),
+    pytest.param(2, lambda h, r: (h, "[" * 200_000), id="record-nested-too-deeply"),
+    pytest.param(1, lambda h, r: ('{"a":' * 100_000, r), id="header-nested-too-deeply"),
 ])
 def test_evaluate_malformed_attribution_file(tmp_path, capsys, line, corrupt):
     data = write_d3(tmp_path)
@@ -283,6 +289,20 @@ def test_evaluate_malformed_attribution_file(tmp_path, capsys, line, corrupt):
     err = json.loads(err_line)
     assert err["error"] == "DataError"
     assert err["message"].startswith(f"{attr}:{line}: ")
+
+
+@pytest.mark.parametrize("command, option, error", [
+    pytest.param("similarity", ["--target", "5"], "TargetOutOfRange", id="target-past-end"),
+    pytest.param("similarity", ["--target", "-1"], "TargetOutOfRange", id="target-negative"),
+    pytest.param("diagnose", ["--eps", "2"], "EpsOutOfRange", id="eps-above-1"),
+    pytest.param("diagnose", ["--eps", "0"], "EpsOutOfRange", id="eps-zero"),
+])
+def test_out_of_range_argument_is_a_config_error(tmp_path, capsys, command, option, error):
+    """An out-of-range row index or eps is a bad flag value: exit 2, as
+    ``attribute --targets 5`` is."""
+    assert run(command, *d3_args(write_d3(tmp_path)), *option, "--out", str(tmp_path / "out")) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == error
 
 
 @pytest.mark.parametrize("mode, schema, code", [
