@@ -50,7 +50,7 @@ from .evaluation import (
     conditional_curves,
     variable_ordering,
 )
-from .igcs import QuadratureSpec, SoftValue, igcs_attribution
+from .igcs import SoftValue, igcs_attribution
 from .shapley import (
     Attribution,
     ValueFunction,
@@ -87,7 +87,6 @@ __all__ = [
     "MissingValue",
     "NonNumericResponse",
     "NonNumericValue",
-    "QuadratureSpec",
     "RelativeRange",
     "SimilarityProfile",
     "SimilaritySpec",

@@ -42,14 +42,14 @@ from .errors import (
     DimensionMismatch,
 )
 from .evaluation import abc_report
-from .igcs import QuadratureSpec, SoftValue, igcs_attribution
+from .igcs import DEFAULT_STEPS, SoftValue, igcs_attribution
 from .sampling import fisher_yates, rng_from
-from .shapley import DEFAULT_DIMENSION_CAP, Attribution, _finish, exact_shapley, mc_shapley
+from .shapley import DEFAULT_DIMENSION_CAP, Attribution, exact_shapley, mc_shapley
 from .similarity import SimilarityProfile, build_profile
 from .values import DEFAULT_SIGMA, CohortValue, GkwValue, UniquenessValue
 
 ATTRIBUTION_SCHEMA = "cohortexplain.attribution/1"
-DEFAULTS = {"steps": QuadratureSpec.steps, "samples": 1000, "sigma": DEFAULT_SIGMA, "seed": 0,
+DEFAULTS = {"steps": DEFAULT_STEPS, "samples": 1000, "sigma": DEFAULT_SIGMA, "seed": 0,
             "cap": DEFAULT_DIMENSION_CAP}
 
 
@@ -107,14 +107,14 @@ def _random(t: TargetContext, p: dict) -> Attribution:
     d, nu = t.profile.d, t.value
     values = np.empty(d)
     values[fisher_yates(rng_from(p["seed"], t.target), d)] = np.arange(d, 0, -1, dtype=float)
-    return _finish(values, nu.evaluate(()), nu.evaluate(tuple(range(d))), t.target, seed=p["seed"])
+    return Attribution(values, nu.evaluate(()), nu.evaluate(tuple(range(d))), t.target, meta={"seed": p["seed"]})
 
 
 METHODS = {
     "cs-exact": Method(("cap",), lambda t, p: exact_shapley(t.value, cap=p["cap"])),
     "igcs": Method(
         ("steps",),
-        lambda t, p: igcs_attribution(SoftValue(t.profile, t.ds.responses), QuadratureSpec(p["steps"])),
+        lambda t, p: igcs_attribution(SoftValue(t.profile, t.ds.responses), p["steps"]),
         sweep="steps",
     ),
     "cs-mc": Method(("samples", "seed"), _cs_mc, sweep="samples"),
@@ -126,9 +126,9 @@ METHODS = {
 
 def _method_params(args, names: list[str]) -> dict:
     """DEFAULTS overridden by the options given; an option that none of
-    ``names`` reads is an error (``--cap`` is accepted with any method)."""
+    ``names`` reads is an error."""
     given = {k for k in DEFAULTS if getattr(args, k) is not None}
-    stray = given - {"cap"} - {o for name in names for o in METHODS[name].options}
+    stray = given - {o for name in names for o in METHODS[name].options}
     if stray:
         raise ConfigError(
             f"option(s) {sorted('--' + s for s in stray)} not valid with method(s) {', '.join(names)}"
@@ -573,9 +573,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets", default="all")
     p.add_argument("--steps", type=_counts, help="comma-separated quadrature steps for igcs rows")
     p.add_argument("--samples", type=_counts, help="comma-separated sample budgets for cs-mc rows")
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--seed", type=_seed)
-    p.add_argument("--cap", type=_count)
+    p.add_argument("--sigma", type=float, help="kernel bandwidth (gkw)")
+    p.add_argument("--seed", type=_seed, help="random seed (cs-mc, random)")
+    p.add_argument("--cap", type=_count, help=f"dimension cap for exact methods (default {DEFAULTS['cap']})")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_compare)
 

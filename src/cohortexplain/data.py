@@ -457,7 +457,7 @@ def make_similarity_spec(
     overrides = dict(overrides or {})
     unknown = set(overrides) - set(ds.column_names)
     if unknown:
-        raise ConfigError(f"similarity override for unknown column(s): {sorted(unknown)}")
+        raise MissingColumn(min(unknown))
     spec = SimilaritySpec(tuple(
         overrides.get(name, Equality() if kind is ColumnKind.CATEGORICAL else default)
         for name, kind in zip(ds.column_names, ds.kinds)

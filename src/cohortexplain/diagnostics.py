@@ -70,9 +70,10 @@ def heps_mass(
     backing = nontarget & (counts > 0)
     m = int(backing.sum())
     d = profile.d
-    a = float(counts[backing].min() / d) if m else 0.0
+    fewest = int(counts[backing].min()) if m else 0  # floor(a d); a * d can round below it
+    a = fewest / d
     A = float(counts[nontarget].max() / d) if nontarget.any() else 0.0
-    bound = (m * m / eps) * math.exp(-math.floor(a * d) / 4.0) if m else 0.0
+    bound = (m * m / eps) * math.exp(-fewest / 4.0) if m else 0.0
 
     dissim = profile.dissimilar[nontarget].astype(float)  # (n-1, d)
     rng = rng_from(seed)

@@ -11,8 +11,8 @@ class CohortExplainError(Exception):
 
 class ConfigError(CohortExplainError):
     """Invalid configuration: bad rule parameters, out-of-range arguments
-    (a target row or ``eps``), malformed config files, or inconsistent CLI
-    option combinations."""
+    (a target row or ``eps``), columns the data lacks, malformed config
+    files, or inconsistent CLI option combinations."""
 
 
 class TargetOutOfRange(ConfigError):
@@ -28,14 +28,14 @@ class EpsOutOfRange(ConfigError):
         self.eps = eps
 
 
-class DataError(CohortExplainError):
-    """The input data cannot be loaded or interpreted."""
-
-
-class MissingColumn(DataError):
+class MissingColumn(ConfigError):
     def __init__(self, column: str):
         super().__init__(f"column {column!r} not found in header")
         self.column = column
+
+
+class DataError(CohortExplainError):
+    """The input data cannot be loaded or interpreted."""
 
 
 class NonNumericResponse(DataError):

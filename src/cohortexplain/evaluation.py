@@ -10,7 +10,7 @@ response times variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -22,13 +22,19 @@ from .values import CohortValue
 
 @dataclass(frozen=True)
 class AbcReport:
-    """Curves and scores for one attribution at one target."""
+    """Curves for one attribution at one target, and their ABC scores
+    (computed by ``abc_scores``)."""
 
     insertion_curve: np.ndarray
     deletion_curve: np.ndarray
-    abc_insertion: float
-    abc_deletion: float
     target_index: Optional[int] = None
+    abc_insertion: float = field(init=False)
+    abc_deletion: float = field(init=False)
+
+    def __post_init__(self):
+        abc_ins, abc_del = abc_scores(self.insertion_curve, self.deletion_curve)
+        object.__setattr__(self, "abc_insertion", abc_ins)
+        object.__setattr__(self, "abc_deletion", abc_del)
 
 
 def variable_ordering(values: Union[Attribution, np.ndarray]) -> np.ndarray:
@@ -77,12 +83,4 @@ def abc_scores(insertion_curve, deletion_curve) -> tuple[float, float]:
 def abc_report(cv: CohortValue, values: Union[Attribution, np.ndarray]) -> AbcReport:
     """Curves and both ABC scores for one attribution, taken along its
     ``variable_ordering``."""
-    insertion, deletion = conditional_curves(cv, variable_ordering(values))
-    abc_ins, abc_del = abc_scores(insertion, deletion)
-    return AbcReport(
-        insertion_curve=insertion,
-        deletion_curve=deletion,
-        abc_insertion=abc_ins,
-        abc_deletion=abc_del,
-        target_index=cv.target_index,
-    )
+    return AbcReport(*conditional_curves(cv, variable_ordering(values)), cv.target_index)

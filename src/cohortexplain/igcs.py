@@ -17,34 +17,16 @@ K distinct counts.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .shapley import Attribution, _finish, check_memory
+from .shapley import Attribution, check_memory
 from .similarity import SimilarityProfile
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Equispaced quadrature along the diagonal: R midpoint nodes
-    alpha_r = (2r - 1) / (2R).  Midpoint avoids privileging the endpoints
-    and converges at order 2 because the integrand is smooth on [0, 1]
-    (the soft cardinality never drops below 1)."""
-
-    steps: int = 50
-
-    def __post_init__(self):
-        try:
-            operator.index(self.steps)
-        except TypeError:
-            raise ConfigError(f"quadrature steps must be an integer, got {self.steps!r}") from None
-        if self.steps < 1:
-            raise ConfigError(f"quadrature steps must be >= 1, got {self.steps}")
-
-    def nodes(self) -> np.ndarray:
-        return (np.arange(self.steps) + 0.5) / self.steps
+#: R, the number of midpoint nodes on the diagonal path.
+DEFAULT_STEPS = 50
 
 
 class SoftValue:
@@ -71,11 +53,14 @@ class SoftValue:
         self.refined_mean = float(responses[counts == 0].mean())
 
 
-def igcs_attribution(sv: SoftValue, quad: QuadratureSpec = QuadratureSpec()) -> Attribution:
+def igcs_attribution(sv: SoftValue, steps: int = DEFAULT_STEPS) -> Attribution:
     """Integrated-gradient attribution psi of the soft cohort value.
 
-    psi_k averages d nu / d z_k over the midpoint nodes u_r = 1 - alpha_r of
-    the diagonal path.  There a row with |J_i| = c contributes
+    psi_k averages d nu / d z_k over the R = ``steps`` midpoint nodes
+    alpha_r = (2r - 1) / (2R), u_r = 1 - alpha_r, of the diagonal path.  The
+    midpoint rule avoids privileging the endpoints and converges at order 2,
+    because the integrand is smooth on [0, 1] (the soft cardinality never
+    drops below 1).  On the path a row with |J_i| = c contributes
     u^(c-1) (C / B^2 - f_i / B) to every k in J_i, where B = sum_c r_c u^c and
     C = sum_c f_c u^c over the buckets' row counts r_c and response sums f_c.
     So psi = w @ D with one weight per row, w_i = f_i a_c + b_c, from the
@@ -87,9 +72,15 @@ def igcs_attribution(sv: SoftValue, quad: QuadratureSpec = QuadratureSpec()) -> 
     whose R x K float64 tables (three live at once) exceed physical memory
     are refused before they are allocated (``ComputationError``).
     """
-    R, K = quad.steps, len(sv._distinct)
+    try:
+        R = operator.index(steps)
+    except TypeError:
+        raise ConfigError(f"quadrature steps must be an integer, got {steps!r}") from None
+    if R < 1:
+        raise ConfigError(f"quadrature steps must be >= 1, got {R}")
+    K = len(sv._distinct)
     check_memory(f"IGCS with {R} steps and {K} distinct counts", 3 * 8 * R * K, "its R x K tables")
-    u = 1.0 - quad.nodes()[:, np.newaxis]
+    u = 1.0 - ((np.arange(R) + 0.5) / R)[:, np.newaxis]
     powers = u**sv._distinct
     B = powers @ sv._rows_per
     C = powers @ sv._fsum_per
@@ -98,7 +89,4 @@ def igcs_attribution(sv: SoftValue, quad: QuadratureSpec = QuadratureSpec()) -> 
     b = (lowered * (C / B)[:, np.newaxis]).mean(axis=0)
     w = sv.responses * a[sv._bucket] + b[sv._bucket]
     psi = w @ sv.profile.dissimilar
-    return _finish(
-        psi, sv.grand_mean, sv.refined_mean, sv.profile.target_index,
-        steps=quad.steps,
-    )
+    return Attribution(psi, sv.grand_mean, sv.refined_mean, sv.profile.target_index, meta={"steps": R})

@@ -92,33 +92,25 @@ def depth_first_subsets(d: int):
 class Attribution:
     """Per-feature attribution values with the bookkeeping needed to audit them.
 
-    ``efficiency_gap`` is (nu_full - nu_empty) - sum(values); it is zero up
-    to rounding for exact methods and reflects quadrature error for
-    integrated-gradient attributions.  ``stderr`` is present for Monte Carlo
-    estimates only.
+    ``efficiency_gap`` is computed: (nu_full - nu_empty) - sum(values).  It
+    is zero up to rounding for exact methods and reflects quadrature error
+    for integrated-gradient attributions.  ``stderr`` is present for Monte
+    Carlo estimates only.
     """
 
     values: np.ndarray
     nu_empty: float
     nu_full: float
-    efficiency_gap: float
     target_index: Optional[int] = None
     stderr: Optional[np.ndarray] = None
     meta: dict = field(default_factory=dict)
+    efficiency_gap: float = field(init=False)
 
-
-def _finish(values, nu_empty, nu_full, target_index, stderr=None, **meta) -> Attribution:
-    values = np.asarray(values, dtype=float)
-    gap = (nu_full - nu_empty) - float(values.sum())
-    return Attribution(
-        values=values,
-        nu_empty=float(nu_empty),
-        nu_full=float(nu_full),
-        efficiency_gap=gap,
-        target_index=target_index,
-        stderr=stderr,
-        meta=meta,
-    )
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=float)
+        self.nu_empty = float(self.nu_empty)
+        self.nu_full = float(self.nu_full)
+        self.efficiency_gap = (self.nu_full - self.nu_empty) - float(self.values.sum())
 
 
 def physical_memory_bytes() -> int:
@@ -168,7 +160,7 @@ def exact_shapley(nu: ValueFunction, cap: int = DEFAULT_DIMENSION_CAP) -> Attrib
     for j in range(d):
         pairs = vals.reshape(-1, 2, 1 << j)
         phi[j] = np.sum(W.reshape(-1, 2, 1 << j)[:, 0, :] * (pairs[:, 1, :] - pairs[:, 0, :]))
-    return _finish(phi, vals[0], vals[-1], nu.target_index, evaluations=1 << d)
+    return Attribution(phi, vals[0], vals[-1], nu.target_index, meta={"evaluations": 1 << d})
 
 
 def mc_shapley(
@@ -200,10 +192,6 @@ def mc_shapley(
         stderr = np.sqrt(var / samples)
     else:
         stderr = np.zeros(d)
-    nu_empty = nu.evaluate(())
-    nu_full = nu.evaluate(tuple(range(d)))
     label = seed if isinstance(seed, int) else None
-    return _finish(
-        values, nu_empty, nu_full, nu.target_index,
-        stderr=stderr, samples=samples, seed=label,
-    )
+    return Attribution(values, nu.evaluate(()), nu.evaluate(tuple(range(d))), nu.target_index, stderr,
+                       {"samples": samples, "seed": label})

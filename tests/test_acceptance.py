@@ -25,7 +25,7 @@ from cohortexplain import (
     mc_shapley,
     second_order_weights,
 )
-from cohortexplain.igcs import QuadratureSpec, SoftValue
+from cohortexplain.igcs import SoftValue
 from cohortexplain.sampling import rng_from
 
 from conftest import (
@@ -141,7 +141,7 @@ def test_criterion_03_igcs_correctness(d3_profile):
     assert worst <= 1e-6
 
     # (b) D3 converges to the closed-form integrals (-1/3, -2/3)
-    attr = igcs_attribution(SoftValue(d3_profile, D3_RESPONSES), QuadratureSpec(1000))
+    attr = igcs_attribution(SoftValue(d3_profile, D3_RESPONSES), 1000)
     d3_err = float(np.max(np.abs(attr.values - np.array([-1.0 / 3.0, -2.0 / 3.0]))))
     assert d3_err <= 1e-5
 
@@ -152,8 +152,8 @@ def test_criterion_03_igcs_correctness(d3_profile):
         S = inst.random((50, 8)) < 0.5
         S[0] = True
         sv = SoftValue(profile_from_indicators(S, 0), inst.normal(size=50))
-        gap_r = igcs_attribution(sv, QuadratureSpec(5)).efficiency_gap
-        gap_10r = igcs_attribution(sv, QuadratureSpec(50)).efficiency_gap
+        gap_r = igcs_attribution(sv, 5).efficiency_gap
+        gap_10r = igcs_attribution(sv, 50).efficiency_gap
         assert abs(gap_r) > 1e-9
         ratio = abs(gap_10r) / abs(gap_r)
         assert ratio <= 1.0 / 50.0
@@ -296,7 +296,6 @@ def sparse_benchmark():
 def test_criterion_08_igcs_beats_equal_budget_mc(sparse_benchmark):
     ds, spec = sparse_benchmark
     targets = list(range(20))
-    quad = QuadratureSpec(50)
 
     ig_scores = []
     igcs_seconds = []
@@ -307,7 +306,7 @@ def test_criterion_08_igcs_beats_equal_budget_mc(sparse_benchmark):
         profiles[t] = profile
         cv = CohortValue(profile, ds.responses)
         start = time.perf_counter()
-        attr = igcs_attribution(SoftValue(profile, ds.responses), quad)
+        attr = igcs_attribution(SoftValue(profile, ds.responses), 50)
         igcs_seconds.append(time.perf_counter() - start)
         report = abc_report(cv, attr)
         ig_scores.append((report.abc_insertion, report.abc_deletion))
@@ -365,12 +364,11 @@ def test_criterion_08_igcs_beats_equal_budget_mc(sparse_benchmark):
 
 def test_criterion_09_igcs_runtime(sparse_benchmark):
     ds, spec = sparse_benchmark
-    quad = QuadratureSpec(50)
     seconds = []
     for t in (0, 1, 2):
         start = time.perf_counter()
         profile = build_profile(ds, spec, t)
-        attr = igcs_attribution(SoftValue(profile, ds.responses), quad)
+        attr = igcs_attribution(SoftValue(profile, ds.responses), 50)
         seconds.append(time.perf_counter() - start)
         assert len(attr.values) == 1024
     assert max(seconds) <= 1.0

@@ -9,7 +9,7 @@ PUBLIC = [
     "CohortExplainError", "CohortValue", "ColumnKind", "ComputationError",
     "ConfigError", "ConvergenceReport", "CornerReport", "DataError", "Dataset", "DimensionMismatch",
     "DimensionTooLarge", "EmptyDataset", "EmptyDissimSet", "EpsOutOfRange", "Equality", "GkwValue",
-    "MissingColumn", "MissingValue", "NonNumericResponse", "NonNumericValue", "QuadratureSpec",
+    "MissingColumn", "MissingValue", "NonNumericResponse", "NonNumericValue",
     "RelativeRange", "SimilarityProfile", "SimilaritySpec",
     "SingularCovariance", "SoftValue", "TargetOutOfRange", "UniquenessValue",
     "ValueFunction", "abc_report", "abc_scores", "build_profile", "cohort", "conditional_curves",
@@ -44,3 +44,17 @@ def test_sources_parse_at_the_declared_python_floor():
     assert floor is not None
     for path in sorted((root / "src").rglob("*.py")):
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(int(floor[1]), int(floor[2])))
+
+
+def test_no_module_imports_another_modules_private_name():
+    """A name that two modules share is public; ``from .mod import _name``
+    fails here."""
+    src = pathlib.Path(cohortexplain.__file__).resolve().parent
+    private = [
+        f"{path.name}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -129,12 +129,12 @@ def test_attribute_param_validation(tmp_path):
 
 def test_defaults_are_the_library_defaults():
     """The CLI's method defaults are read from the library, not copied."""
-    from cohortexplain import GkwValue, QuadratureSpec, exact_shapley, mc_shapley
+    from cohortexplain import GkwValue, exact_shapley, igcs_attribution, mc_shapley
 
     def default(fn, name):
         return inspect.signature(fn).parameters[name].default
 
-    assert cli.DEFAULTS["steps"] == QuadratureSpec().steps
+    assert cli.DEFAULTS["steps"] == default(igcs_attribution, "steps")
     assert cli.DEFAULTS["sigma"] == default(GkwValue, "sigma")
     assert cli.DEFAULTS["cap"] == default(exact_shapley, "cap")
     assert cli.DEFAULTS["seed"] == default(mc_shapley, "seed")
@@ -155,6 +155,8 @@ def test_defaults_are_the_library_defaults():
     "diagnose --samples 0 --out OUT",
     "attribute --method bogus --out OUT",
     "attribute --method igcs",  # no --out
+    "attribute --method igcs --cap 5 --out OUT",  # a method option igcs does not read
+    "compare --methods igcs,cs-mc --cap 5 --out OUT",
 ])
 def test_malformed_option_prints_one_json_line(tmp_path, capsys, options):
     """Every bad flag, whether argparse or a bound refuses it, exits 2 with
@@ -164,6 +166,25 @@ def test_malformed_option_prints_one_json_line(tmp_path, capsys, options):
     assert run(command, *d3_args(write_d3(tmp_path)), *rest) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert json.loads(line)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("options", [
+    "--schema nope=categorical",
+    "--response nope",
+    "--response-mode residual:nope",
+    "--similarity nope=equality",
+    "--config CONFIG",
+])
+def test_missing_column_is_a_config_error(tmp_path, capsys, options):
+    """A column that the header lacks exits 2 whichever option names it."""
+    config = tmp_path / "similarity.cfg"
+    config.write_text("similarity.nope = equality\n", encoding="utf-8")
+    args = ["--data", str(write_d3(tmp_path)), "--response", "y"]
+    args += [str(config) if o == "CONFIG" else o for o in options.split()]
+    assert run("attribute", *args, "--method", "cs-exact", "--targets", "0",
+               "--out", str(tmp_path / "out")) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": "MissingColumn", "message": "column 'nope' not found in header"}
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -568,7 +589,7 @@ def test_engine_wrappers_seen_by_attribute_and_compare(tmp_path, monkeypatch):
                "--out", str(tmp_path / "a.jsonl")) == 0
     assert len(calls) == 3
     assert run("compare", *d3_args(data), "--methods", "igcs,cs-exact", "--targets", "0-1",
-               "--out", str(tmp_path / "cmp.csv")) == 0
+               "--cap", "5", "--out", str(tmp_path / "cmp.csv")) == 0  # cs-exact reads --cap
     assert len(calls) == 5
 
 

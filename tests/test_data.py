@@ -542,8 +542,8 @@ def test_make_similarity_spec():
     assert spec2.rules[0] == AbsoluteRange(2.0)
     with pytest.raises(ConfigError):
         make_similarity_spec(ds, overrides={"x2": RelativeRange(0.1)})
-    with pytest.raises(ConfigError):
-        make_similarity_spec(ds, overrides={"nope": Equality()})
+    with pytest.raises(MissingColumn, match="'nope'"):  # the first unknown name in sorted order
+        make_similarity_spec(ds, overrides={"zz": Equality(), "nope": Equality()})
 
 
 @settings(max_examples=100, deadline=None, database=None)

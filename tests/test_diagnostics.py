@@ -17,7 +17,7 @@ from cohortexplain import (
     igcs_attribution,
     second_order_weights,
 )
-from cohortexplain.igcs import QuadratureSpec, SoftValue
+from cohortexplain.igcs import SoftValue
 
 from conftest import make_dataset, power_product_gradient, profile_from_indicators
 from oracles import diagonal_ig
@@ -51,6 +51,16 @@ def test_heps_bound_formula():
     report = heps_mass(profile, eps=0.01, samples=10, seed=0)
     assert report.a == 0.5 and report.rows_used == 100
     assert report.theorem_bound == pytest.approx(1e6 * math.exp(-25.0), rel=1e-12)
+
+
+def test_heps_bound_uses_the_integer_count():
+    # at d=49, (1/49) * 49 rounds below 1 in floating point; the exponent
+    # is the smallest count |J_i| = 1 itself: bound = (1^2 / 0.5) * e^(-1/4)
+    S = np.ones((2, 49), dtype=bool)
+    S[1, 0] = False
+    report = heps_mass(profile_from_indicators(S, 0), eps=0.5, samples=10, seed=0)
+    assert report.rows_used == 1 and report.a == 1 / 49
+    assert report.theorem_bound == 2.0 * math.exp(-0.25)
 
 
 def test_heps_duplicate_regime():
@@ -224,6 +234,6 @@ def test_cs_vs_igcs_single_constraint_dataset():
     ds = make_dataset(features, rng.normal(size=n))
     spec = SimilaritySpec((Equality(), Equality()))
     profile = build_profile(ds, spec, 0)
-    igcs = igcs_attribution(SoftValue(profile, ds.responses), QuadratureSpec(400))
+    igcs = igcs_attribution(SoftValue(profile, ds.responses), 400)
     cs = exact_shapley(CohortValue(profile, ds.responses))
     np.testing.assert_allclose(igcs.values - cs.values, np.zeros(2), atol=1e-5)

@@ -9,7 +9,7 @@ from cohortexplain import (
     exact_shapley,
     igcs_attribution,
 )
-from cohortexplain.igcs import QuadratureSpec, SoftValue
+from cohortexplain.igcs import SoftValue
 from cohortexplain.similarity import superset_tables
 
 from conftest import (
@@ -34,19 +34,24 @@ def d3_soft(d3_profile) -> SoftValue:
     return SoftValue(d3_profile, D3_RESPONSES)
 
 
-def test_quadrature_spec_validation():
-    assert len(QuadratureSpec(4).nodes()) == 4
-    np.testing.assert_allclose(QuadratureSpec(2).nodes(), [0.25, 0.75])
-    with pytest.raises(ConfigError):
-        QuadratureSpec(0)
+def test_quadrature_steps_validation(d3_soft):
+    """R steps put R midpoint nodes alpha_r = (2r - 1) / (2R) on the
+    diagonal; fewer than one is refused."""
+    for steps, alphas in ((4, [0.125, 0.375, 0.625, 0.875]), (2, [0.25, 0.75])):
+        gradients = [soft_gradient(d3_soft.profile.dissimilar, D3_RESPONSES, np.full(2, a)) for a in alphas]
+        attr = igcs_attribution(d3_soft, steps)
+        assert attr.meta["steps"] == steps
+        np.testing.assert_allclose(attr.values, np.mean(gradients, axis=0), rtol=1e-14)
+    with pytest.raises(ConfigError, match=">= 1"):
+        igcs_attribution(d3_soft, 0)
 
 
 @pytest.mark.parametrize("steps", [2.5, 2.0, "3", None])
-def test_quadrature_steps_must_be_integer(steps):
-    # QuadratureSpec(2.5) would put a node at alpha = 1, where u^(c-1) is infinite for c = 0
+def test_quadrature_steps_must_be_integer(d3_soft, steps):
+    # 2.5 steps would put a node at alpha = 1, where u^(c-1) is infinite for c = 0
     with pytest.raises(ConfigError, match="integer"):
-        QuadratureSpec(steps)
-    assert QuadratureSpec(np.int64(3)).steps == 3
+        igcs_attribution(d3_soft, steps)
+    assert igcs_attribution(d3_soft, np.int64(3)).meta["steps"] == 3
 
 
 def test_soft_value_examples(d3_profile):
@@ -148,7 +153,7 @@ def test_d3_gradient_closed_form(d3_soft):
         np.testing.assert_allclose(grad, expected, atol=1e-14)
     # one midpoint node sits at alpha = 0.5
     np.testing.assert_allclose(
-        igcs_attribution(d3_soft, QuadratureSpec(1)).values,
+        igcs_attribution(d3_soft, 1).values,
         [-1.25 / 3.0625, -2.0 / 3.0625],
         atol=1e-14,
     )
@@ -180,8 +185,7 @@ def _oracle_case(kind):
 def test_igcs_matches_gradient_oracle(kind, steps):
     S, responses = _oracle_case(kind)
     sv = SoftValue(profile_from_indicators(S, 0), responses)
-    quad = QuadratureSpec(steps)
-    psi = igcs_attribution(sv, quad).values
+    psi = igcs_attribution(sv, steps).values
     oracle = diagonal_ig(partial(soft_gradient, ~S, responses), S.shape[1], steps)
     scale = np.abs(oracle).max()
     assert np.abs(psi - oracle).max() <= 1e-12 * scale
@@ -200,7 +204,7 @@ def test_d3_igcs_limit(d3_soft):
     oracle = np.array([np.mean(-u * (2 + u) / denom), np.mean(-(1 + 2 * u) / denom)])
     np.testing.assert_allclose(oracle, [-1.0 / 3.0, -2.0 / 3.0], atol=1e-9)
 
-    attr = igcs_attribution(d3_soft, QuadratureSpec(1000))
+    attr = igcs_attribution(d3_soft, 1000)
     np.testing.assert_allclose(attr.values, [-1.0 / 3.0, -2.0 / 3.0], atol=1e-5)
     assert attr.nu_empty == 2.0 and attr.nu_full == 1.0
     assert attr.meta["steps"] == 1000
@@ -216,7 +220,7 @@ def test_single_constraint_exactness():
     profile = profile_from_indicators(S, 0)
     responses = rng.normal(size=n)
     sv = SoftValue(profile, responses)
-    attr = igcs_attribution(sv, QuadratureSpec(200))
+    attr = igcs_attribution(sv, 200)
     exact = exact_shapley(CohortValue(profile, responses))
     assert np.all(attr.values[np.arange(d) != j0] == 0.0)
     np.testing.assert_allclose(attr.values, exact.values, atol=1e-5)
@@ -229,8 +233,8 @@ def test_more_steps_shrink_gap_same_ordering():
     rng = np.random.default_rng(30)
     profile = random_binary_profile(rng, n=60, d=10, target=0)
     sv = SoftValue(profile, rng.normal(size=60))
-    at_50 = igcs_attribution(sv, QuadratureSpec(50))
-    at_200 = igcs_attribution(sv, QuadratureSpec(200))
+    at_50 = igcs_attribution(sv, 50)
+    at_200 = igcs_attribution(sv, 200)
     assert abs(at_200.efficiency_gap) < abs(at_50.efficiency_gap)
     np.testing.assert_allclose(at_50.values, at_200.values, atol=1e-3)
     np.testing.assert_array_equal(
@@ -245,8 +249,8 @@ def test_quadrature_order():
         S = rng.random((50, 8)) < 0.5
         S[0] = True
         sv = SoftValue(profile_from_indicators(S, 0), rng.normal(size=50))
-        gap_r = igcs_attribution(sv, QuadratureSpec(5)).efficiency_gap
-        gap_10r = igcs_attribution(sv, QuadratureSpec(50)).efficiency_gap
+        gap_r = igcs_attribution(sv, 5).efficiency_gap
+        gap_10r = igcs_attribution(sv, 50).efficiency_gap
         assert abs(gap_r) > 1e-9
         assert abs(gap_10r) / abs(gap_r) <= 1.0 / 50.0
 
