@@ -1,9 +1,10 @@
 """Command-line surface: attribute, evaluate, compare, diagnose, similarity.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 computation
-error.  Output files are byte-identical across repeated runs for the same
-configuration and seed; wall-clock timings therefore go to stderr (and to
-the compare table, whose timing column is inherently non-deterministic).
+error or out of memory.  Output files are byte-identical across repeated
+runs for the same configuration and seed; wall-clock timings therefore go
+to stderr (and to the compare table, whose timing column is inherently
+non-deterministic).
 File formats are documented in FORMATS.md.
 """
 
@@ -570,22 +571,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="ABC and timing table across methods")
     _add_dataset_options(p)
     p.add_argument("--methods", required=True, help="comma-separated method list")
-    p.add_argument("--targets", default="all")
+    p.add_argument("--targets", default="all", help='e.g. "all", "3", "0-99", "1,4,7"')
     p.add_argument("--steps", type=_counts, help="comma-separated quadrature steps for igcs rows")
     p.add_argument("--samples", type=_counts, help="comma-separated sample budgets for cs-mc rows")
     p.add_argument("--sigma", type=float, help="kernel bandwidth (gkw)")
     p.add_argument("--seed", type=_seed, help="random seed (cs-mc, random)")
     p.add_argument("--cap", type=_count, help=f"dimension cap for exact methods (default {DEFAULTS['cap']})")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help="output comparison table (CSV)")
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("diagnose", help="convergence-region diagnostics per target")
     _add_dataset_options(p)
-    p.add_argument("--targets", default="all")
-    p.add_argument("--eps", type=float, default=0.01)
-    p.add_argument("--samples", type=_count, default=2000)
-    p.add_argument("--seed", type=_seed, default=DEFAULTS["seed"])
-    p.add_argument("--out", required=True)
+    p.add_argument("--targets", default="all", help='e.g. "all", "3", "0-99", "1,4,7"')
+    p.add_argument("--eps", type=float, default=0.01,
+                   help="soft-similarity mass threshold of the region H_eps, in (0, 1) (default %(default)s)")
+    p.add_argument("--samples", type=_count, default=2000,
+                   help="uniform samples for the mass of H_eps; no ceiling, time grows linearly (default %(default)s)")
+    p.add_argument("--seed", type=_seed, default=DEFAULTS["seed"],
+                   help="random seed of the mass samples (default %(default)s)")
+    p.add_argument("--out", required=True, help="output diagnostics table (CSV)")
     p.set_defaults(func=_cmd_diagnose)
 
     p = sub.add_parser("similarity", help="dump the 0/1 similarity indicator matrix")
@@ -615,6 +619,9 @@ def main(argv=None) -> int:
         return 3
     except ComputationError as exc:
         _fail(exc)
+        return 4
+    except MemoryError as exc:  # an allocation that no check bounded; numpy raises a subclass
+        _fail(MemoryError(str(exc) or "out of memory"))
         return 4
 
 

@@ -23,9 +23,11 @@ from .sampling import fisher_yates, rng_from
 DEFAULT_DIMENSION_CAP = 25
 #: Largest d for which any 2^d-entry subset table is built.
 LATTICE_DIMENSION_CAP = 30
-#: 2^d-entry float64 tables the exact engine budgets for.  Three are live at
-#: its peak (the value table with the superset tables or the popcounts and
-#: weights); the rest is headroom for the memory others hold.
+#: 2^d-entry float64 tables the exact engine budgets for.  Three and an
+#: eighth are live at its peak: the value table with the two superset tables
+#: it is made from, then the centred table with the fold's A and B and the
+#: one-byte subset sizes.  A value function that keeps the table it returns
+#: adds one; the rest is headroom for the memory others hold.
 EXACT_TABLES = 6
 
 
@@ -88,14 +90,15 @@ def depth_first_subsets(d: int):
         stack.extend((mask | 1 << j, u + (j,)) for j in reversed(range(u[-1] + 1, d)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Attribution:
     """Per-feature attribution values with the bookkeeping needed to audit them.
 
     ``efficiency_gap`` is computed: (nu_full - nu_empty) - sum(values).  It
     is zero up to rounding for exact methods and reflects quadrature error
     for integrated-gradient attributions.  ``stderr`` is present for Monte
-    Carlo estimates only.
+    Carlo estimates only.  The record is frozen, so the gap cannot go stale;
+    ``meta`` stays an open dict.
     """
 
     values: np.ndarray
@@ -107,10 +110,10 @@ class Attribution:
     efficiency_gap: float = field(init=False)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        self.nu_empty = float(self.nu_empty)
-        self.nu_full = float(self.nu_full)
-        self.efficiency_gap = (self.nu_full - self.nu_empty) - float(self.values.sum())
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        object.__setattr__(self, "nu_empty", float(self.nu_empty))
+        object.__setattr__(self, "nu_full", float(self.nu_full))
+        object.__setattr__(self, "efficiency_gap", (self.nu_full - self.nu_empty) - float(self.values.sum()))
 
 
 def physical_memory_bytes() -> int:
@@ -143,24 +146,45 @@ def exact_shapley(nu: ValueFunction, cap: int = DEFAULT_DIMENSION_CAP) -> Attrib
     """Exact Shapley values phi_j = (1/d) sum_u C(d-1,|u|)^-1 (nu(u+j) - nu(u)).
 
     Evaluates nu on all 2^d subsets (vectorized when the value function
-    supports it) and combines increments with exact weights, so the result
-    is deterministic and satisfies efficiency to rounding error.  Refuses,
-    before allocating anything, a d whose tables would not fit in physical
-    memory.
+    supports it) and combines them in one O(2^d) fold, so the result is
+    deterministic and satisfies efficiency to rounding error.  With
+    W(s) = 1 / (d C(d-1, s)) and the centred table c = nu - nu(empty)
+    (adding a constant to nu leaves every phi_j unchanged), take
+    A(u) = c(u) W(|u| - 1) for non-empty u and B(u) = c(u) W(|u|).  Then
+    phi_j is the sum of A over the subsets that contain j minus the sum of
+    B over those that do not.  From the top bit down, phi_j reads the two
+    halves of the tables split by bit j, and each table is then folded in
+    place onto its lower half, summing out bit j.  A and B are folded
+    apart, as folding A + B and subtracting B's total loses digits to
+    cancellation against that total; an uncentred table whose values sit
+    far from 0 loses them the same way.  Refuses, before allocating
+    anything, a d whose tables would not fit in physical memory.
     """
     d = nu.d
     if d > cap:
         raise DimensionTooLarge(d, cap)
     check_lattice("exact Shapley", d, EXACT_TABLES)
     vals = np.asarray(nu.all_values(), dtype=float)
-    # W[u] = 1 / (d * C(d-1, |u|)); the full set (|u| = d) never lacks a feature, so its 0 is unused
-    weights = np.array([1.0 / (d * math.comb(d - 1, s)) for s in range(d)] + [0.0])
-    W = weights[np.bitwise_count(np.arange(1 << d, dtype=np.uint32))]
+    nu_empty, nu_full = vals[0], vals[-1]
+    c = vals - nu_empty  # a new table: the value function may own the one it returned
+    del vals
+    sizes = np.bitwise_count(np.arange(1 << d, dtype=np.uint32))
+    # W(s) for s = 0..d-1; A's weight is indexed by |u| - 1 and B's by |u|, and the
+    # two zeros (A at the empty set, B at the full set) fall outside every sum
+    W = [1.0 / (d * math.comb(d - 1, s)) for s in range(d)]
+    A = np.array([0.0] + W)[sizes]
+    A *= c
+    B = np.array(W + [0.0])[sizes]
+    B *= c
+    del c, sizes
     phi = np.empty(d)
-    for j in range(d):
-        pairs = vals.reshape(-1, 2, 1 << j)
-        phi[j] = np.sum(W.reshape(-1, 2, 1 << j)[:, 0, :] * (pairs[:, 1, :] - pairs[:, 0, :]))
-    return Attribution(phi, vals[0], vals[-1], nu.target_index, meta={"evaluations": 1 << d})
+    for j in reversed(range(d)):
+        h = 1 << j
+        phi[j] = A[h:].sum() - B[:h].sum()
+        A[:h] += A[h:]
+        B[:h] += B[h:]
+        A, B = A[:h], B[:h]
+    return Attribution(phi, nu_empty, nu_full, nu.target_index, meta={"evaluations": 1 << d})
 
 
 def mc_shapley(

@@ -185,9 +185,13 @@ def superset_tables(profile: SimilarityProfile, *weights) -> list[np.ndarray]:
 
     Rows are binned by their similar-feature bitmask [d] \\ J_i, then one
     accumulation pass per bit over the 2^d entries turns the bins into
-    superset sums: O(n d + d 2^d) per table instead of O(4^d).  The tables,
-    and the one a caller derives from them, are checked against physical
-    memory before the first is allocated.
+    superset sums: O(n d + d 2^d) per table instead of O(4^d).  The pass
+    for bit b adds entry u + 2^b into u for every u without bit b.  Below
+    bit 3, where those runs are 1-4 entries long, it is 2^b one-dimensional
+    strided adds instead of one pass over a (-1, 2, 2^b) view; both add the
+    same pairs, so the tables are the same bytes.  The tables, and the one
+    a caller derives from them, are checked against physical memory before
+    the first is allocated.
     """
     d = profile.d
     check_lattice("superset tables", d, len(weights) + 1)
@@ -197,7 +201,12 @@ def superset_tables(profile: SimilarityProfile, *weights) -> list[np.ndarray]:
     for w in weights:
         acc = np.bincount(masks, weights=w, minlength=1 << d)
         for b in range(d):
-            view = acc.reshape(-1, 2, 1 << b)
-            view[:, 0, :] += view[:, 1, :]
+            h = 1 << b
+            if b < 3:
+                for o in range(h):
+                    acc[o :: 2 * h] += acc[o + h :: 2 * h]
+            else:
+                view = acc.reshape(-1, 2, h)
+                view[:, 0, :] += view[:, 1, :]
         tables.append(acc)
     return tables

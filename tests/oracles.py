@@ -3,6 +3,7 @@ internals they are used to check."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -224,6 +225,43 @@ def exact_shapley_by_columns(vals, d):
         sizes = pop.reshape(-1, 2, 1 << j)[:, 0, :].ravel()
         phi[j] = np.sum(weights[sizes] * (with_j - without))
     return phi
+
+
+def exact_shapley_fractions(vals, d):
+    """Exact Shapley values of a table indexed by bitmask, by the definition
+    in rational arithmetic over the table's floats, so with no rounding at
+    all (d <= 8): a list of d ``Fraction``s."""
+    if d > 8:
+        raise ValueError(f"the rational oracle is for d <= 8, got {d}")
+    v = [Fraction(float(x)) for x in vals]
+    phi = []
+    for j in range(d):
+        bit = 1 << j
+        terms = (
+            (v[mask | bit] - v[mask]) / math.comb(d - 1, bin(mask).count("1"))
+            for mask in range(1 << d)
+            if not mask & bit
+        )
+        phi.append(sum(terms, Fraction(0)) / d)
+    return phi
+
+
+def superset_tables_by_bits(profile, *weights):
+    """Superset sums over the 2^d subsets, one table per row-weight vector:
+    the rows binned by their similar-feature bitmask, then one pass per bit
+    over a (-1, 2, 2^b) view that adds entry u + 2^b into u; the reference
+    summation order of ``similarity.superset_tables``."""
+    d = profile.d
+    bits = np.int64(1) << np.arange(d, dtype=np.int64)
+    masks = ((1 << d) - 1) ^ (profile.dissimilar * bits).sum(axis=1)
+    tables = []
+    for w in weights:
+        acc = np.bincount(masks, weights=w, minlength=1 << d)
+        for b in range(d):
+            view = acc.reshape(-1, 2, 1 << b)
+            view[:, 0, :] += view[:, 1, :]
+        tables.append(acc)
+    return tables
 
 
 def gkw_weights_cholesky(gv, u):

@@ -97,6 +97,22 @@ def test_attribute_memory_bound_exit_code(tmp_path, capsys, monkeypatch):
     assert err["error"] == "ComputationError" and "physical memory" in err["message"]
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 8.00 MiB for an array", ""])
+def test_out_of_memory_exit_code(tmp_path, capsys, monkeypatch, message):
+    """An allocation that fails is exit 4 with the one JSON line, not a
+    traceback; the engine is made to raise, nothing is allocated to find a
+    limit."""
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "exact_shapley", out_of_memory)
+    data = write_d3(tmp_path)
+    assert run("attribute", *d3_args(data), "--method", "cs-exact", "--targets", "0",
+               "--out", str(tmp_path / "x.jsonl")) == 4
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": "MemoryError", "message": message or "out of memory"}
+
+
 def test_igcs_memory_bound_exit_code(tmp_path, capsys, monkeypatch):
     """IGCS refuses steps whose R x K tables exceed physical memory before
     allocating them, from attribute and compare alike."""

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -136,3 +137,14 @@ def test_derived_fields_are_computed_not_given():
     for name in ("abc_insertion", "abc_deletion"):
         with pytest.raises(TypeError):
             AbcReport(ins, dele, **{name: 0.0})
+
+
+def test_attribution_is_frozen():
+    """Assigning a field after construction raises, so ``efficiency_gap``
+    cannot go stale; ``meta`` stays a dict that callers may extend."""
+    attr = Attribution(np.array([1.0, 2.0]), 0.0, 3.0)
+    for name, value in (("values", np.array([5.0, 5.0])), ("nu_full", 13.0), ("efficiency_gap", -7.0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(attr, name, value)
+    attr.meta["seed"] = 1
+    assert attr.efficiency_gap == 0.0 and attr.meta == {"seed": 1}

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from cohortexplain.sampling import fisher_yates, rng_from
 
 from oracles import (
     exact_shapley_by_columns,
+    exact_shapley_fractions,
     fisher_yates_scalar,
     make_table_vf,
     shapley_by_definition,
@@ -84,17 +86,47 @@ def test_exact_matches_permutation_oracle():
 
 
 @st.composite
-def lattices(draw):
-    d = draw(st.integers(1, 12))
-    scale = draw(st.sampled_from([1e-300, 1e-3, 1.0, 1e6, 1e300]))
-    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=1 << d) * scale, d
+def games(draw):
+    """(table, d) for d <= 8: offset lattices (values near 1e6 with small
+    variations, like prices), additive games, near-null games (a constant
+    with a few subsets moved by 1e-12 of it) and unstructured tables."""
+    d = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["offset", "additive", "near-null", "unstructured"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = 1 << d
+    if kind == "offset":
+        vals = 1e6 + rng.normal(size=size) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    elif kind == "additive":
+        members = (np.arange(size)[:, np.newaxis] >> np.arange(d)) & 1
+        scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+        vals = draw(st.sampled_from([0.0, 1.0, 1e6])) + members @ (rng.normal(size=d) * scale)
+    elif kind == "near-null":
+        base = draw(st.sampled_from([0.0, 1.0, 1e6]))
+        vals = np.full(size, base)
+        moved = rng.integers(0, size, size=draw(st.integers(0, size)))
+        vals[moved] += rng.normal(size=len(moved)) * max(base, 1.0) * 1e-12
+    else:
+        vals = rng.normal(size=size) * draw(st.sampled_from([1e-300, 1e-3, 1.0, 1e6, 1e300]))
+    return vals, d
 
 
-@settings(max_examples=100, deadline=None, database=None)
-@given(lattices())
-def test_exact_matches_column_copy_oracle_bytes(lattice):
-    vals, d = lattice
-    assert exact_shapley(make_table_vf(vals, d)).values.tobytes() == exact_shapley_by_columns(vals, d).tobytes()
+def _error(phi, exact) -> float:
+    return max(float(abs(Fraction(float(p)) - e)) for p, e in zip(phi, exact))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(games())
+def test_exact_fold_error_within_column_order_error(game):
+    """The fold is as accurate as the per-feature column passes: against
+    the rational oracle its error is at most 4 times theirs, plus 32 ulps
+    of max |phi|.  An uncentred fold misses this by orders of magnitude on
+    the offset lattices, where A's and B's sums sit near 1e6."""
+    vals, d = game
+    exact = exact_shapley_fractions(vals, d)
+    floor = 32 * np.spacing(max(abs(float(e)) for e in exact))
+    fold = _error(exact_shapley(make_table_vf(vals, d)).values, exact)
+    columns = _error(exact_shapley_by_columns(vals, d), exact)
+    assert fold <= 4 * columns + floor
 
 
 def test_dimension_cap():

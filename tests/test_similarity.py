@@ -38,6 +38,7 @@ from oracles import (
     indicators_by_rule,
     refinement_path_dense,
     soft_similarity,
+    superset_tables_by_bits,
 )
 
 
@@ -81,6 +82,25 @@ def test_superset_tables_match_brute_force():
         members = [i for i in range(15) if S[i, u].all()]
         assert counts[mask] == len(members)
         assert abs(sums[mask] - w[members].sum()) < 1e-12
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    st.integers(1, 12),
+    st.integers(1, 40),
+    st.floats(0.0, 1.0),
+    st.sampled_from([1e-300, 1e-3, 1.0, 1e6, 1e300]),
+    st.integers(0, 2**32 - 1),
+)
+def test_superset_tables_match_per_bit_passes_bytes(d, n, density, scale, seed):
+    """The strided adds of the low bits add the same pairs in the same pass
+    order as one (-1, 2, 2^b) view per bit, so every table is the same bytes."""
+    rng = np.random.default_rng(seed)
+    profile = random_binary_profile(rng, n=n, d=d, target=int(rng.integers(n)), density=density)
+    w = rng.normal(size=n) * scale
+    got = superset_tables(profile, np.ones(n), w)
+    want = superset_tables_by_bits(profile, np.ones(n), w)
+    assert [t.tobytes() for t in got] == [t.tobytes() for t in want]
 
 
 def test_target_row_all_similar_for_any_rule():

@@ -306,6 +306,22 @@ def test_evaluate_rejects_features_outside_range(make, feature):
         vf.evaluate([0, feature])
 
 
+def test_exact_cohort_shapley_peak_within_budget():
+    """One exact_shapley(CohortValue) at d=14 holds at most the tables its
+    memory check budgets for: the value table with the two superset tables,
+    then the centred table with A, B and the popcounts."""
+    d = 14
+    rng = np.random.default_rng(14)
+    _, _, cv = random_cohort_instance(rng, n=200, d=d, density=0.9)
+    tracemalloc.start()
+    try:
+        exact_shapley(cv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < shapley.EXACT_TABLES * 8 << d
+
+
 def test_lattice_tables_refuse_more_than_memory(monkeypatch):
     """Direct all_values and superset_tables calls check the 2^d tables
     against physical memory before allocating the first of them."""
