@@ -35,7 +35,7 @@ from .data import (
     parse_rule,
     parse_similarity_config,
 )
-from .diagnostics import CORNER_DIMENSION_CAP, corner_convergence, heps_mass
+from .diagnostics import corner_convergence, heps_mass
 from .errors import (
     ComputationError,
     ConfigError,
@@ -45,13 +45,14 @@ from .errors import (
 from .evaluation import abc_report
 from .igcs import DEFAULT_STEPS, SoftValue, igcs_attribution
 from .sampling import fisher_yates, rng_from
-from .shapley import DEFAULT_DIMENSION_CAP, Attribution, exact_shapley, mc_shapley
+from .shapley import EXACT_TABLES, Attribution, check_lattice, exact_shapley, mc_shapley
 from .similarity import SimilarityProfile, build_profile
 from .values import DEFAULT_SIGMA, CohortValue, GkwValue, UniquenessValue
 
 ATTRIBUTION_SCHEMA = "cohortexplain.attribution/1"
-DEFAULTS = {"steps": DEFAULT_STEPS, "samples": 1000, "sigma": DEFAULT_SIGMA, "seed": 0,
-            "cap": DEFAULT_DIMENSION_CAP}
+DEFAULTS = {"steps": DEFAULT_STEPS, "samples": 1000, "sigma": DEFAULT_SIGMA, "seed": 0}
+#: ``diagnose`` fills the corner columns only when d is at most this
+CORNER_DIMENSION_CAP = 20
 
 
 # ---------------------------------------------------------------------------
@@ -82,25 +83,15 @@ class TargetContext:
 
 @dataclass(frozen=True)
 class Method:
-    """The options a method reads (and writes into the attribution header),
-    how it attributes one target, and the count option that ``compare``
-    sweeps as a comma list."""
+    """The options a method reads (written into the attribution header and
+    each record's ``params``), how it attributes one target, the count
+    option that ``compare`` sweeps as a comma list, and whether it holds
+    ``EXACT_TABLES`` 2^d tables on each worker (``exact_shapley``)."""
 
     options: tuple[str, ...]
     run: Callable[[TargetContext, dict], Attribution]
     sweep: Optional[str] = None
-
-
-def _cs_mc(t: TargetContext, p: dict) -> Attribution:
-    attr = mc_shapley(t.value, p["samples"], seed=rng_from(p["seed"], t.target))
-    attr.meta["seed"] = p["seed"]
-    return attr
-
-
-def _gkw(t: TargetContext, p: dict) -> Attribution:
-    attr = exact_shapley(GkwValue(t.ds, t.target, sigma=p["sigma"]), cap=p["cap"])
-    attr.meta["sigma"] = p["sigma"]
-    return attr
+    lattice: bool = False
 
 
 def _random(t: TargetContext, p: dict) -> Attribution:
@@ -108,19 +99,17 @@ def _random(t: TargetContext, p: dict) -> Attribution:
     d, nu = t.profile.d, t.value
     values = np.empty(d)
     values[fisher_yates(rng_from(p["seed"], t.target), d)] = np.arange(d, 0, -1, dtype=float)
-    return Attribution(values, nu.evaluate(()), nu.evaluate(tuple(range(d))), t.target, meta={"seed": p["seed"]})
+    return Attribution(values, nu.evaluate(()), nu.evaluate(tuple(range(d))), t.target)
 
 
 METHODS = {
-    "cs-exact": Method(("cap",), lambda t, p: exact_shapley(t.value, cap=p["cap"])),
-    "igcs": Method(
-        ("steps",),
-        lambda t, p: igcs_attribution(SoftValue(t.profile, t.ds.responses), p["steps"]),
-        sweep="steps",
-    ),
-    "cs-mc": Method(("samples", "seed"), _cs_mc, sweep="samples"),
-    "gkw": Method(("cap", "sigma"), _gkw),
-    "uniqueness": Method(("cap",), lambda t, p: exact_shapley(UniquenessValue(t.profile), cap=p["cap"])),
+    "cs-exact": Method((), lambda t, p: exact_shapley(t.value), lattice=True),
+    "igcs": Method(("steps",), lambda t, p: igcs_attribution(SoftValue(t.profile, t.ds.responses), p["steps"]),
+                   sweep="steps"),
+    "cs-mc": Method(("samples", "seed"), lambda t, p: mc_shapley(t.value, p["samples"], rng_from(p["seed"], t.target)),
+                    sweep="samples"),
+    "gkw": Method(("sigma",), lambda t, p: exact_shapley(GkwValue(t.ds, t.target, p["sigma"])), lattice=True),
+    "uniqueness": Method((), lambda t, p: exact_shapley(UniquenessValue(t.profile)), lattice=True),
     "random": Method(("seed",), _random),
 }
 
@@ -135,6 +124,15 @@ def _method_params(args, names: list[str]) -> dict:
             f"option(s) {sorted('--' + s for s in stray)} not valid with method(s) {', '.join(names)}"
         )
     return {k: getattr(args, k) if k in given else v for k, v in DEFAULTS.items()}
+
+
+def _check_workers(names: list[str], d: int, workers: int) -> None:
+    """``check_lattice`` for the exact methods among ``names``, before the
+    first target: each worker holds ``EXACT_TABLES`` 2^d tables."""
+    lattice = [name for name in names if METHODS[name].lattice]
+    if lattice:
+        hint = " (lower --threads)" if workers > 1 else ""
+        check_lattice(f"{', '.join(lattice)} on {workers} worker(s){hint}", d, EXACT_TABLES * workers)
 
 
 def _attribute_one(ds, spec, name: str, params: dict, target: int):
@@ -245,11 +243,13 @@ def _cmd_attribute(args) -> int:
     ds, spec, config = _setup(args)
     targets = _parse_targets(args.targets, ds.n)
     config.update({"method": args.method, "targets": args.targets})
-    config.update({k: params[k] for k in method.options})
+    options = {k: params[k] for k in method.options}
+    config.update(options)
+    _check_workers([args.method], ds.d, min(args.threads, len(targets)))
 
     def one(t):  # keeps only the record, so no target's profile outlives its worker
         ctx, attr, seconds = _attribute_one(ds, spec, args.method, params, t)
-        return _record(ctx, args.method, attr), seconds
+        return _record(ctx, args.method, options, attr), seconds
 
     results = _map_ordered(one, targets, args.threads)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -271,7 +271,7 @@ def _cmd_attribute(args) -> int:
     return 0
 
 
-def _record(ctx: TargetContext, method: str, attr: Attribution) -> dict:
+def _record(ctx: TargetContext, method: str, options: dict, attr: Attribution) -> dict:
     names = ctx.ds.column_names
     record = {
         "target_index": ctx.target,
@@ -280,7 +280,7 @@ def _record(ctx: TargetContext, method: str, attr: Attribution) -> dict:
         "nu_empty": attr.nu_empty,
         "nu_full": attr.nu_full,
         "efficiency_gap": attr.efficiency_gap,
-        "params": {k: v for k, v in attr.meta.items() if v is not None},
+        "params": {**{k: v for k, v in attr.meta.items() if v is not None}, **options},
     }
     if attr.stderr is not None:
         record["stderr"] = {name: float(v) for name, v in zip(names, attr.stderr)}
@@ -419,6 +419,7 @@ def _cmd_compare(args) -> int:
     ds, spec, config = _setup(args)
     targets = _parse_targets(args.targets, ds.n)
     config.update({"methods": args.methods, "targets": args.targets, "seed": params["seed"]})
+    _check_workers(names, ds.d, min(args.threads, len(targets)))
 
     def one(name, variant, t):
         ctx, attr, seconds = _attribute_one(ds, spec, name, variant, t)
@@ -556,7 +557,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_count, help="permutation samples (cs-mc)")
     p.add_argument("--sigma", type=float, help="kernel bandwidth (gkw)")
     p.add_argument("--seed", type=_seed, help="random seed (cs-mc, random)")
-    p.add_argument("--cap", type=_count, help=f"dimension cap for exact methods (default {DEFAULTS['cap']})")
     p.add_argument("--out", required=True, help="output attribution file (JSON lines)")
     p.add_argument("--timing-out", help="optional JSON sidecar with per-target seconds")
     p.set_defaults(func=_cmd_attribute)
@@ -576,7 +576,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_counts, help="comma-separated sample budgets for cs-mc rows")
     p.add_argument("--sigma", type=float, help="kernel bandwidth (gkw)")
     p.add_argument("--seed", type=_seed, help="random seed (cs-mc, random)")
-    p.add_argument("--cap", type=_count, help=f"dimension cap for exact methods (default {DEFAULTS['cap']})")
     p.add_argument("--out", required=True, help="output comparison table (CSV)")
     p.set_defaults(func=_cmd_compare)
 

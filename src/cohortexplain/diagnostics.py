@@ -16,12 +16,9 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import DimensionTooLarge, EpsOutOfRange, EmptyDissimSet
+from .errors import EpsOutOfRange, EmptyDissimSet
 from .sampling import rng_from
 from .similarity import SimilarityProfile, superset_tables
-
-#: largest d for which the corner census walks all 2^d corners
-CORNER_DIMENSION_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -114,17 +111,16 @@ class CornerReport:
     d: int
 
 
-def corner_convergence(profile: SimilarityProfile, cap: int = CORNER_DIMENSION_CAP) -> CornerReport:
+def corner_convergence(profile: SimilarityProfile) -> CornerReport:
     """Exhaustive corner census: the corner 1_u:0_-u lies inside H_eps
     (for any eps <= 1) iff some non-target row has u disjoint from J_i.
 
     Counted for all 2^d corners with one superset table of the non-target
-    rows, so d must stay small.  The fraction can never exceed
-    m * 2^(-d a); that inequality is checked here as a self-test.
+    rows, so time and memory grow as 2^d (``check_lattice`` refuses d > 30).
+    The fraction can never exceed m * 2^(-d a); that inequality is checked
+    here as a self-test.
     """
     d = profile.d
-    if d > cap:
-        raise DimensionTooLarge(d, cap)
     t = profile.target_index
     counts = profile.dissim_counts
     nontarget = np.ones(profile.n, dtype=bool)

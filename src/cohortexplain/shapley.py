@@ -20,7 +20,6 @@ import numpy as np
 from .errors import ComputationError, DimensionTooLarge
 from .sampling import fisher_yates, rng_from
 
-DEFAULT_DIMENSION_CAP = 25
 #: Largest d for which any 2^d-entry subset table is built.
 LATTICE_DIMENSION_CAP = 30
 #: 2^d-entry float64 tables the exact engine budgets for.  Three and an
@@ -142,7 +141,7 @@ def check_lattice(what: str, d: int, tables: int) -> None:
     check_memory(f"{what} at d={d}", tables * 8 << d, "its 2^d tables")
 
 
-def exact_shapley(nu: ValueFunction, cap: int = DEFAULT_DIMENSION_CAP) -> Attribution:
+def exact_shapley(nu: ValueFunction) -> Attribution:
     """Exact Shapley values phi_j = (1/d) sum_u C(d-1,|u|)^-1 (nu(u+j) - nu(u)).
 
     Evaluates nu on all 2^d subsets (vectorized when the value function
@@ -157,12 +156,11 @@ def exact_shapley(nu: ValueFunction, cap: int = DEFAULT_DIMENSION_CAP) -> Attrib
     place onto its lower half, summing out bit j.  A and B are folded
     apart, as folding A + B and subtracting B's total loses digits to
     cancellation against that total; an uncentred table whose values sit
-    far from 0 loses them the same way.  Refuses, before allocating
-    anything, a d whose tables would not fit in physical memory.
+    far from 0 loses them the same way.  Time and memory grow as 2^d:
+    before anything is allocated, ``check_lattice`` refuses a d above 30
+    or ``EXACT_TABLES`` tables beyond physical memory.
     """
     d = nu.d
-    if d > cap:
-        raise DimensionTooLarge(d, cap)
     check_lattice("exact Shapley", d, EXACT_TABLES)
     vals = np.asarray(nu.all_values(), dtype=float)
     nu_empty, nu_full = vals[0], vals[-1]

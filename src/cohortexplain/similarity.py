@@ -42,19 +42,18 @@ class SimilarityProfile:
     """
 
     target_index: int
-    d: int
     dissimilar: np.ndarray
     dissim_counts: np.ndarray = field(init=False)
 
     def __post_init__(self):
         D = np.asarray(self.dissimilar, dtype=bool).view()
-        if D.ndim != 2 or D.shape[1] != self.d:
-            raise ValueError(f"dissimilarity matrix must have shape (n, {self.d}), got {D.shape}")
+        if D.ndim != 2:
+            raise ValueError(f"dissimilarity matrix must have shape (n, d), got {D.shape}")
         if not 0 <= self.target_index < D.shape[0]:
             raise TargetOutOfRange(self.target_index, D.shape[0])
         if D[self.target_index].any():
             raise ValueError("target row must be similar to itself on every feature")
-        counts = D.view(np.uint8).sum(axis=1, dtype=np.min_scalar_type(self.d)).astype(np.intp)
+        counts = D.view(np.uint8).sum(axis=1, dtype=np.min_scalar_type(D.shape[1])).astype(np.intp)
         for arr in (D, counts):
             arr.setflags(write=False)
         object.__setattr__(self, "dissimilar", D)
@@ -63,6 +62,10 @@ class SimilarityProfile:
     @property
     def n(self) -> int:
         return self.dissimilar.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.dissimilar.shape[1]
 
     @property
     def indicators(self) -> np.ndarray:
@@ -105,13 +108,13 @@ def build_profile(ds: Dataset, spec: SimilaritySpec, target_index: int) -> Simil
         with np.errstate(over="ignore"):
             diff = ds.features - x
         np.abs(diff, out=diff)
-        return SimilarityProfile(target_index, ds.d, diff > widths)
+        return SimilarityProfile(target_index, diff > widths)
     own = ds.at_high[target_index]
     other = np.where(own, ds.low, ds.high)
     dissimilar = ds.at_high != own
     with np.errstate(over="ignore"):
         dissimilar &= np.abs(other - x) > widths
-    return SimilarityProfile(target_index, ds.d, dissimilar)
+    return SimilarityProfile(target_index, dissimilar)
 
 
 def feature_subset(u, d: int) -> list[int]:

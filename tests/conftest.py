@@ -37,7 +37,7 @@ def make_dataset(features, responses, kinds=None, names=None, response_name="y")
 def profile_from_indicators(indicators, target_index) -> SimilarityProfile:
     """The profile whose similarity matrix S = ~D is ``indicators``."""
     S = np.asarray(indicators, dtype=bool)
-    return SimilarityProfile(target_index, S.shape[1], ~S)
+    return SimilarityProfile(target_index, ~S)
 
 
 def random_binary_profile(rng, n, d, target=0, density=0.5) -> SimilarityProfile:

@@ -73,14 +73,49 @@ def test_attribute_random_is_rank_surrogate(tmp_path):
 
 
 def test_attribute_cap_enforced(tmp_path, capsys):
+    """d above the lattice cap of 30 is refused before anything is
+    allocated, on any machine (a 2^30 table could fit on a large one)."""
     rng = np.random.default_rng(0)
-    data = write_random_binary(tmp_path, rng, n=8, d=30)
+    data = write_random_binary(tmp_path, rng, n=8, d=31)
     out = tmp_path / "x.jsonl"
     code = run("attribute", "--data", str(data), "--response", "y",
                "--method", "cs-exact", "--targets", "0", "--out", str(out))
     assert code == 4
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "DimensionTooLarge"
+
+
+def test_exact_methods_are_marked_lattice():
+    assert {name for name, m in cli.METHODS.items() if m.lattice} == {"cs-exact", "gkw", "uniqueness"}
+
+
+@pytest.mark.parametrize("command", [["attribute", "--method"], ["compare", "--methods"]])
+@pytest.mark.parametrize("method", ["cs-exact", "uniqueness"])
+def test_exact_memory_bound_counts_workers(tmp_path, capsys, monkeypatch, command, method):
+    """Each worker of an exact method holds up to EXACT_TABLES 2^d tables:
+    with room for one worker's tables, two workers are refused (exit 4, one
+    JSON line) before a 2^d table is allocated, and one worker runs."""
+    import tracemalloc
+
+    from cohortexplain import shapley
+
+    d = 16
+    data = write_random_binary(tmp_path, np.random.default_rng(0), n=20, d=d)
+    monkeypatch.setattr(shapley, "physical_memory_bytes", lambda: shapley.EXACT_TABLES * 8 << d)
+    argv = [*command, method, "--data", str(data), "--response", "y", "--targets", "0-1",
+            "--out", str(tmp_path / "out")]
+    tracemalloc.start()
+    try:
+        assert run(*argv, "--threads", "2") == 4
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << d  # one 2^16 table is 512 KiB
+    (line,) = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "ComputationError"
+    assert "2 worker(s)" in err["message"] and "--threads" in err["message"]
+    assert run(*argv, "--threads", "1") == 0
 
 
 def test_attribute_memory_bound_exit_code(tmp_path, capsys, monkeypatch):
@@ -145,14 +180,13 @@ def test_attribute_param_validation(tmp_path):
 
 def test_defaults_are_the_library_defaults():
     """The CLI's method defaults are read from the library, not copied."""
-    from cohortexplain import GkwValue, exact_shapley, igcs_attribution, mc_shapley
+    from cohortexplain import GkwValue, igcs_attribution, mc_shapley
 
     def default(fn, name):
         return inspect.signature(fn).parameters[name].default
 
     assert cli.DEFAULTS["steps"] == default(igcs_attribution, "steps")
     assert cli.DEFAULTS["sigma"] == default(GkwValue, "sigma")
-    assert cli.DEFAULTS["cap"] == default(exact_shapley, "cap")
     assert cli.DEFAULTS["seed"] == default(mc_shapley, "seed")
 
 
@@ -166,7 +200,7 @@ def test_defaults_are_the_library_defaults():
     "attribute --method igcs --steps abc --out OUT",
     "compare --methods igcs --steps 5,x --out OUT",
     "attribute --method igcs --threads 0 --out OUT",
-    "attribute --method cs-exact --cap 0 --out OUT",
+    "attribute --method cs-exact --cap 0 --out OUT",  # --cap is no option of any command
     "compare --methods cs-exact --cap -1 --out OUT",
     "diagnose --samples 0 --out OUT",
     "attribute --method bogus --out OUT",
@@ -488,6 +522,22 @@ def test_diagnose(tmp_path):
     assert 0.0 <= float(first["mass_estimate"]) <= 1.0
 
 
+@pytest.mark.parametrize("d, filled", [(20, True), (21, False)])
+def test_diagnose_corner_columns_up_to_d20(tmp_path, monkeypatch, d, filled):
+    """The corner columns are filled when d <= 20 and left empty, with no
+    census run, above it."""
+    calls = _counting(monkeypatch, "corner_convergence")
+    data = write_random_binary(tmp_path, np.random.default_rng(1), n=12, d=d)
+    out = tmp_path / "diag.csv"
+    assert run("diagnose", "--data", str(data), "--response", "y", "--targets", "0-1",
+               "--samples", "10", "--threads", "1", "--out", str(out)) == 0
+    rows = list(csv.DictReader(out.read_text(encoding="utf-8").splitlines()[1:]))
+    assert len(rows) == 2
+    for row in rows:
+        assert (row["corner_fraction"] != "", row["corner_bound"] != "") == (filled, filled)
+    assert len(calls) == (2 if filled else 0)
+
+
 def test_similarity_dump(tmp_path, capsys):
     data = write_d3(tmp_path)
     out = tmp_path / "s.csv"
@@ -605,14 +655,14 @@ def test_engine_wrappers_seen_by_attribute_and_compare(tmp_path, monkeypatch):
                "--out", str(tmp_path / "a.jsonl")) == 0
     assert len(calls) == 3
     assert run("compare", *d3_args(data), "--methods", "igcs,cs-exact", "--targets", "0-1",
-               "--cap", "5", "--out", str(tmp_path / "cmp.csv")) == 0  # cs-exact reads --cap
+               "--out", str(tmp_path / "cmp.csv")) == 0
     assert len(calls) == 5
 
 
 @pytest.mark.parametrize("method, options", [
-    ("cs-exact", {"cap": 25}),
-    ("gkw", {"cap": 25, "sigma": 0.1}),
-    ("uniqueness", {"cap": 25}),
+    ("cs-exact", {}),
+    ("gkw", {"sigma": 0.1}),
+    ("uniqueness", {}),
     ("igcs", {"steps": 50}),
     ("cs-mc", {"samples": 1000, "seed": 0}),
     ("random", {"seed": 0}),

@@ -164,7 +164,9 @@ def test_corner_matches_brute_force():
 
 
 def test_corner_dimension_cap():
-    S = np.ones((2, 21), dtype=bool)
+    """The census's one bound is the lattice's: d above 30 is refused
+    before its table is allocated."""
+    S = np.ones((2, 31), dtype=bool)
     S[1, 0] = False
     with pytest.raises(DimensionTooLarge):
         corner_convergence(profile_from_indicators(S, 0))
