@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -34,6 +33,7 @@ from .data import (
     make_similarity_spec,
     parse_rule,
     parse_similarity_config,
+    read_lines,
 )
 from .diagnostics import corner_convergence, heps_mass
 from .errors import (
@@ -64,9 +64,11 @@ CORNER_DIMENSION_CAP = 20
 
 @dataclass(frozen=True)
 class TargetContext:
-    """One target's profile and cohort value, built on first use and then
-    read by both the attribution engine and the ABC report (``gkw`` reads
-    neither)."""
+    """One target's profile and cohort value, built on first use and read by
+    both the attribution engine and the ABC report (``gkw`` reads neither).
+    ``_map_targets`` builds each in the worker that takes its target, so a
+    target's profile lives only in its worker; ``profile`` is the commands'
+    one ``build_profile`` call."""
 
     ds: Dataset
     spec: SimilaritySpec
@@ -135,14 +137,6 @@ def _check_workers(names: list[str], d: int, workers: int) -> None:
         check_lattice(f"{', '.join(lattice)} on {workers} worker(s){hint}", d, EXACT_TABLES * workers)
 
 
-def _attribute_one(ds, spec, name: str, params: dict, target: int):
-    """(context, attribution, seconds) for one target."""
-    start = time.perf_counter()
-    ctx = TargetContext(ds, spec, target)
-    attr = METHODS[name].run(ctx, params)
-    return ctx, attr, time.perf_counter() - start
-
-
 # ---------------------------------------------------------------------------
 # Argument plumbing
 
@@ -186,12 +180,7 @@ def _setup(args) -> tuple[Dataset, SimilaritySpec, dict]:
     ds = load_dataset(args.data, args.response, args.response_mode, schema or None)
     default, overrides = None, {}
     if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{args.config}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
-        default, overrides = parse_similarity_config(text)
+        default, overrides = parse_similarity_config("".join(read_lines(args.config, ConfigError)))
     if args.delta is not None:
         default = RelativeRange(args.delta)
     if default is None:
@@ -217,12 +206,16 @@ def _setup(args) -> tuple[Dataset, SimilaritySpec, dict]:
     return ds, spec, config
 
 
-def _map_ordered(fn, items, threads: int) -> list:
-    """Apply fn across items, preserving input order regardless of scheduling."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+def _map_targets(ds: Dataset, spec: SimilaritySpec, targets: list[int], threads: int, fn) -> list:
+    """``fn(TargetContext)`` for each target, in the order given, on up to
+    ``threads`` workers; one worker or one target runs in the caller."""
+    def one(target):
+        return fn(TargetContext(ds, spec, target))
+
+    if threads <= 1 or len(targets) <= 1:
+        return [one(t) for t in targets]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(one, targets))
 
 
 def _write_csv(path, config: dict, header: list, rows) -> None:
@@ -247,11 +240,13 @@ def _cmd_attribute(args) -> int:
     config.update(options)
     _check_workers([args.method], ds.d, min(args.threads, len(targets)))
 
-    def one(t):  # keeps only the record, so no target's profile outlives its worker
-        ctx, attr, seconds = _attribute_one(ds, spec, args.method, params, t)
+    def one(ctx):
+        start = time.perf_counter()
+        attr = method.run(ctx, params)
+        seconds = time.perf_counter() - start
         return _record(ctx, args.method, options, attr), seconds
 
-    results = _map_ordered(one, targets, args.threads)
+    results = _map_targets(ds, spec, targets, args.threads, one)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(json.dumps(config, sort_keys=True) + "\n")
         for record, _ in results:
@@ -259,11 +254,8 @@ def _cmd_attribute(args) -> int:
     seconds = [s for _, s in results]
     if args.timing_out:
         with open(args.timing_out, "w", encoding="utf-8") as fh:
-            json.dump(
-                {"seconds_per_target": {str(t): s for t, s in zip(targets, seconds)}},
-                fh, sort_keys=True, indent=2,
-            )
-            fh.write("\n")
+            per_target = {str(t): s for t, s in zip(targets, seconds)}
+            fh.write(json.dumps({"seconds_per_target": per_target}, sort_keys=True, indent=2) + "\n")
     sys.stderr.write(  # last, so that a failed run prints nothing but its error line
         f"attributed {len(targets)} target(s) with {args.method}; "
         f"mean {np.mean(seconds):.4f} s/target\n"
@@ -304,14 +296,7 @@ def _json_object(text: str, where: str) -> dict:
 
 def _read_attribution_file(path) -> tuple[dict, list[tuple[str, dict]]]:
     """Header and (location, record) pairs; the location is PATH:LINE."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        raw.decode("utf-8")  # whole, so that a bad byte's offset is the file's
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
-    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
-    lines = [(f"{path}:{no}", line) for no, line in enumerate(text, start=1) if line.strip()]
+    lines = [(f"{path}:{no}", line) for no, line in enumerate(read_lines(path), start=1) if line.strip()]
     if not lines:
         raise DataError(f"{path}: empty attribution file")
     where, line = lines[0]
@@ -356,16 +341,16 @@ def _cmd_evaluate(args) -> int:
     by_target: dict[int, list[int]] = {}
     for i, (_, _, target, _) in enumerate(records):
         by_target.setdefault(target, []).append(i)
-    reports = [None] * len(records)
-    for target, indices in by_target.items():  # one cohort value per target, across files
-        value = TargetContext(ds, spec, target).value
-        for i in indices:
-            reports[i] = abc_report(value, records[i][3])
 
+    def one(ctx):  # one cohort value per target, across files
+        return [(i, abc_report(ctx.value, records[i][3])) for i in by_target[ctx.target]]
+
+    reports = dict(pair for pairs in _map_targets(ds, spec, list(by_target), args.threads, one) for pair in pairs)
     rows = []
     curve_rows = []
     groups: dict[tuple[str, str], list[tuple[float, float]]] = {}
-    for (source, method, target, _), report in zip(records, reports):
+    for i, (source, method, target, _) in enumerate(records):
+        report = reports[i]
         rows.append([source, method, "target", target, repr(report.abc_insertion), repr(report.abc_deletion)])
         groups.setdefault((source, method), []).append((report.abc_insertion, report.abc_deletion))
         if args.plot_data:
@@ -421,14 +406,16 @@ def _cmd_compare(args) -> int:
     config.update({"methods": args.methods, "targets": args.targets, "seed": params["seed"]})
     _check_workers(names, ds.d, min(args.threads, len(targets)))
 
-    def one(name, variant, t):
-        ctx, attr, seconds = _attribute_one(ds, spec, name, variant, t)
+    def one(name, variant, ctx):  # one context per variant and target: its seconds include its profile
+        start = time.perf_counter()
+        attr = METHODS[name].run(ctx, variant)
+        seconds = time.perf_counter() - start
         report = abc_report(ctx.value, attr.values)
         return (report.abc_insertion, report.abc_deletion), seconds
 
     rows = []
     for name, label, variant in variants:
-        results = _map_ordered(lambda t: one(name, variant, t), targets, args.threads)
+        results = _map_targets(ds, spec, targets, args.threads, lambda ctx: one(name, variant, ctx))
         mean, se = _mean_se([scores for scores, _ in results])
         secs = float(np.mean([s for _, s in results]))
         rows.append([name, label, len(targets), repr(mean[0]), repr(se[0]), repr(mean[1]), repr(se[1]), f"{secs:.6f}"])
@@ -449,10 +436,9 @@ def _cmd_diagnose(args) -> int:
     targets = _parse_targets(args.targets, ds.n)
     config.update({"targets": args.targets, "eps": args.eps, "samples": args.samples, "seed": args.seed})
 
-    def one(t):
-        profile = build_profile(ds, spec, t)
-        report = heps_mass(profile, args.eps, args.samples, args.seed)
-        corner = corner_convergence(profile) if ds.d <= CORNER_DIMENSION_CAP else None
+    def one(ctx):
+        report = heps_mass(ctx.profile, args.eps, args.samples, args.seed)
+        corner = corner_convergence(ctx.profile) if ds.d <= CORNER_DIMENSION_CAP else None
         return [
             report.target_index, repr(report.eps), repr(report.a), repr(report.A),
             report.duplicates, report.rows_used,
@@ -462,7 +448,7 @@ def _cmd_diagnose(args) -> int:
             repr(corner.bound) if corner else "",
         ]
 
-    rows = _map_ordered(one, targets, args.threads)
+    rows = _map_targets(ds, spec, targets, args.threads, one)
     _write_csv(args.out, config, [
         "target_index", "eps", "a", "A", "duplicates", "rows_used",
         "mass_estimate", "mass_se", "theorem_bound", "samples", "seed",
@@ -476,7 +462,7 @@ def _cmd_diagnose(args) -> int:
 
 def _cmd_similarity(args) -> int:
     ds, spec, config = _setup(args)
-    profile = build_profile(ds, spec, args.target)
+    profile = TargetContext(ds, spec, args.target).profile
     if args.describe:
         sys.stderr.write(dataset_summary(ds) + "\n")
     config["target"] = args.target

@@ -270,12 +270,25 @@ def _parse_table(data: list[list[str]], width: int) -> np.ndarray:
     return table
 
 
-def _read_rows(path, raw: bytes) -> tuple[list[str], list[list[str]]]:
+def read_lines(path, error: type = DataError, raw: Optional[bytes] = None) -> list[str]:
+    """The lines, ends kept, of a UTF-8 file (or of its bytes ``raw``), split as
+    ``open(path, newline="")`` splits them and decoded once; a bad byte raises
+    ``error`` with its offset in the file (from a second decode, of the whole)."""
+    if raw is None:
+        with open(path, "rb") as fh:
+            raw = fh.read()
     try:
-        raw.decode("utf-8")  # whole, so that a bad byte's offset is the file's
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""))  # as open() reads it
+        return list(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""))
+    except UnicodeDecodeError:
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+        raise
+
+
+def _read_rows(path, raw: bytes) -> tuple[list[str], list[list[str]]]:
+    reader = csv.reader(read_lines(path, raw=raw))
     try:
         rows = list(reader)
     except csv.Error as exc:

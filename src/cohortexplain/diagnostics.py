@@ -75,15 +75,12 @@ def heps_mass(
     dissim = profile.dissimilar[nontarget].astype(float)  # (n-1, d)
     rng = rng_from(seed)
     hits = 0
-    done = 0
-    chunk = max(1, min(samples, 4_000_000 // max(1, dissim.shape[0])))
-    while done < samples:
-        batch = min(chunk, samples - done)
-        z = rng.random((batch, d))
-        log_products = np.log1p(-z) @ dissim.T  # (batch, n-1)
-        mass = np.exp(log_products).sum(axis=1)
+    chunk = max(1, 4_000_000 // max(1, *dissim.shape))  # z (batch x d), products (batch x n-1): <= 4M floats
+    for start in range(0, samples, chunk):
+        z = rng.random((min(chunk, samples - start), d))  # the same stream whatever the batches
+        log_products = np.log1p(np.negative(z, out=z), out=z) @ dissim.T  # (batch, n-1)
+        mass = np.exp(log_products, out=log_products).sum(axis=1)
         hits += int((mass >= eps).sum())
-        done += batch
     p_hat = hits / samples
     se = math.sqrt(p_hat * (1.0 - p_hat) / samples)
     return ConvergenceReport(

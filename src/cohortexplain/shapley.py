@@ -122,13 +122,15 @@ def physical_memory_bytes() -> int:
 
 def check_memory(what: str, need: int, of: str) -> None:
     """Refuse (``ComputationError``), before it is allocated, working memory
-    of ``need`` bytes, held in ``of``, that exceeds physical memory."""
+    of ``need`` bytes, held in ``of``, that exceeds physical memory; both
+    sizes print in the larger's binary unit, to three significant digits."""
     have = physical_memory_bytes()
     if need > have:
-        raise ComputationError(
-            f"{what} needs about {need / 2**30:.1f} GiB for {of}; "
-            f"physical memory is {have / 2**30:.1f} GiB"
-        )
+        power = min(6, (int(need).bit_length() - 1) // 10)  # need is the larger
+        unit = "B KiB MiB GiB TiB PiB EiB".split()[power]
+        sizes = [size / (1 << 10 * power) for size in (need, have)]
+        need_s, have_s = (f"{x:.{max(0, 2 - math.floor(math.log10(x))) if x > 0 else 0}f} {unit}" for x in sizes)
+        raise ComputationError(f"{what} needs about {need_s} for {of}; physical memory is {have_s}")
 
 
 def check_lattice(what: str, d: int, tables: int) -> None:

@@ -36,13 +36,16 @@ def test_numpy_floor_has_the_functions_used():
 
 
 def test_sources_parse_at_the_declared_python_floor():
-    """Every source file parses with the grammar of the oldest Python that
+    """Every file that CI's oldest-Python job runs (the package, the tests
+    and the bench) parses with the grammar of the oldest Python that
     pyproject.toml admits, so newer syntax fails here even when the tests
     run on a newer interpreter."""
     root = pathlib.Path(__file__).resolve().parents[1]
     floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', (root / "pyproject.toml").read_text())
     assert floor is not None
-    for path in sorted((root / "src").rglob("*.py")):
+    paths = [*(root / "src").rglob("*.py"), *(root / "tests").glob("*.py"), *(root / "bench").glob("*.py")]
+    assert {path.parent.name for path in paths} == {"cohortexplain", "tests", "bench"}
+    for path in sorted(paths):
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(int(floor[1]), int(floor[2])))
 
 

@@ -251,15 +251,36 @@ def test_byte_identical_reruns(tmp_path):
         assert values[0] != values[1]
 
 
+def _blank_timing(text: str) -> str:
+    """compare's table with its wall-clock column blanked, as the bench's
+    digest blanks it: every line after the config and header lines."""
+    lines = text.split("\n")
+    return "\n".join(lines[:2] + [line.rsplit(",", 1)[0] for line in lines[2:]])
+
+
 def test_threads_do_not_change_output(tmp_path):
+    """Every command that maps targets writes the same bytes on 1, 2 and 4
+    workers (compare's seconds column aside)."""
     rng = np.random.default_rng(1)
     data = write_random_binary(tmp_path, rng, n=30, d=8)
-    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    common = ["attribute", "--data", str(data), "--response", "y",
-              "--method", "igcs", "--targets", "all"]
-    assert run(*common, "--threads", "1", "--out", str(a)) == 0
-    assert run(*common, "--threads", "4", "--out", str(b)) == 0
-    assert a.read_bytes() == b.read_bytes()
+    dataset = ["--data", str(data), "--response", "y"]
+    common = [*dataset, "--targets", "all"]
+    seen = {}
+    for threads in ("1", "2", "4"):
+        (tmp_path / threads).mkdir()
+        out = {name: tmp_path / threads / name for name in ("igcs", "mc", "abc", "diag", "cmp")}
+        for name, argv in (("igcs", ["attribute", *common, "--method", "igcs"]),
+                           ("mc", ["attribute", *common, "--method", "cs-mc", "--samples", "20"]),
+                           ("abc", ["evaluate", *dataset, "--attributions", str(out["igcs"]), str(out["mc"])]),
+                           ("diag", ["diagnose", *common, "--samples", "50"]),
+                           ("cmp", ["compare", *common, "--methods", "igcs,cs-mc,random", "--samples", "20"])):
+            assert run(*argv, "--threads", threads, "--out", str(out[name])) == 0
+        # evaluate's header names its attribution files, whose folder differs
+        texts = {name: path.read_text(encoding="utf-8").replace(str(tmp_path / threads), "")
+                 for name, path in out.items()}
+        texts["cmp"] = _blank_timing(texts["cmp"])
+        seen[threads] = texts
+    assert seen["1"] == seen["2"] == seen["4"]
 
 
 def test_evaluate_d3(tmp_path):
@@ -360,6 +381,25 @@ def test_evaluate_malformed_attribution_file(tmp_path, capsys, line, corrupt):
     err = json.loads(err_line)
     assert err["error"] == "DataError"
     assert err["message"].startswith(f"{attr}:{line}: ")
+
+
+def test_attribution_lines_end_at_crlf_and_bare_cr(tmp_path, capsys):
+    """"\\r\\n" and a bare "\\r" each end one line, so a malformed line is
+    reported at its number as universal newlines count it."""
+    data = write_d3(tmp_path)
+    attr = tmp_path / "cs.jsonl"
+    assert run("attribute", *d3_args(data), "--method", "cs-exact", "--targets", "0-1", "--out", str(attr)) == 0
+    header, records = read_attribution(attr)
+    text = "\r".join(json.dumps(x) for x in (header, *records)).replace("\r", "\r\n", 1) + "\r\r\n"
+    attr.write_text(text, encoding="utf-8", newline="")  # lines 1-3, then blank line 4
+    out = tmp_path / "abc.csv"
+    assert run("evaluate", *d3_args(data), "--attributions", str(attr), "--out", str(out)) == 0
+    assert [row[3] for row in csv.reader(out.read_text(encoding="utf-8").splitlines()[2:4])] == ["0", "1"]
+    attr.write_text(text + "{not json\r", encoding="utf-8", newline="")
+    capsys.readouterr()
+    assert run("evaluate", *d3_args(data), "--attributions", str(attr), "--out", str(out)) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["message"] == f"{attr}:5: not valid JSON (Expecting property name enclosed in double quotes)"
 
 
 @pytest.mark.parametrize("command, option, error", [
@@ -727,6 +767,7 @@ def test_attribute_computes_widths_once(tmp_path, monkeypatch, threads):
 
 
 def test_evaluate_builds_each_target_once(tmp_path, monkeypatch):
+    """One profile per target across files, on one worker and on two."""
     data = write_d3(tmp_path)
     files = []
     for name, method, targets in (("a", "cs-exact", "0-1"), ("b", "igcs", "1-2")):
@@ -735,10 +776,13 @@ def test_evaluate_builds_each_target_once(tmp_path, monkeypatch):
                    "--out", str(files[-1])) == 0
     calls = _counting(monkeypatch, "build_profile")
     out = tmp_path / "abc.csv"
-    assert run("evaluate", *d3_args(data), "--attributions", *map(str, files), "--out", str(out)) == 0
-    assert sorted(args[2] for args in calls) == [0, 1, 2]
-    rows = list(csv.reader(out.read_text(encoding="utf-8").splitlines()[2:]))
-    assert [(r[0], r[2], r[3]) for r in rows if r[2] == "target"] == [
-        (str(files[0]), "target", "0"), (str(files[0]), "target", "1"),
-        (str(files[1]), "target", "1"), (str(files[1]), "target", "2"),
-    ]
+    for threads in ("1", "2"):
+        calls.clear()
+        assert run("evaluate", *d3_args(data), "--attributions", *map(str, files), "--threads", threads,
+                   "--out", str(out)) == 0
+        assert sorted(args[2] for args in calls) == [0, 1, 2]
+        rows = list(csv.reader(out.read_text(encoding="utf-8").splitlines()[2:]))
+        assert [(r[0], r[2], r[3]) for r in rows if r[2] == "target"] == [
+            (str(files[0]), "target", "0"), (str(files[0]), "target", "1"),
+            (str(files[1]), "target", "1"), (str(files[1]), "target", "2"),
+        ]

@@ -398,16 +398,19 @@ def test_field_over_the_csv_limit_exits_3(tmp_path, capsys, content, line):
 
 
 def test_decode_errors_report_the_file_offset(tmp_path, capsys):
-    """Past the first 8 KB, a bad byte is reported at its index in the file."""
+    """Past the first 8 KB, a bad byte is reported at its index in the file,
+    in the data, an attribution file and the similarity config alike."""
     good = write(tmp_path / "good.csv", "x,y\n0,1\n1,2\n")
-    bad_csv, bad_attr = tmp_path / "bad.csv", tmp_path / "bad.jsonl"
-    for path, content, offset in [(bad_csv, b"x,y\n" + b"0,1\n" * 6000, 20004), (bad_attr, b"\n" * 30_000, 24042)]:
+    bad_csv, bad_attr, bad_cfg = tmp_path / "bad.csv", tmp_path / "bad.jsonl", tmp_path / "bad.cfg"
+    for path, content, offset in [(bad_csv, b"x,y\n" + b"0,1\n" * 6000, 20004), (bad_attr, b"\n" * 30_000, 24042),
+                                  (bad_cfg, b"# comment\n" * 1000, 9003)]:
         path.write_bytes(content[:offset] + b"\xff" + content[offset + 1 :])
-    for path, offset, args in [
-        (bad_csv, 20004, ["attribute", "--data", str(bad_csv), "--method", "igcs"]),
-        (bad_attr, 24042, ["evaluate", "--data", str(good), "--attributions", str(bad_attr)]),
+    for path, offset, code, args in [
+        (bad_csv, 20004, 3, ["attribute", "--data", str(bad_csv), "--method", "igcs"]),
+        (bad_attr, 24042, 3, ["evaluate", "--data", str(good), "--attributions", str(bad_attr)]),
+        (bad_cfg, 9003, 2, ["attribute", "--data", str(good), "--config", str(bad_cfg), "--method", "igcs"]),
     ]:
-        assert main([*args, "--response", "y", "--out", str(tmp_path / "out")]) == 3
+        assert main([*args, "--response", "y", "--out", str(tmp_path / "out")]) == code
         (err_line,) = capsys.readouterr().err.splitlines()
         assert json.loads(err_line)["message"] == f"{path}: not UTF-8 (invalid start byte at byte {offset})"
 

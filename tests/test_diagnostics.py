@@ -117,6 +117,23 @@ def test_heps_estimate_matches_brute_force_probability():
     assert abs(report.mass_estimate - p_check) <= 4 * se
 
 
+def test_heps_batches_are_bounded_by_d():
+    """A batch's draws are batch x d floats, so at n=3 and d=1024 the
+    batch size must count d, not only the n - 1 rows: the traced peak
+    stays under 100 MiB (469 MiB when only n - 1 bounded it)."""
+    import tracemalloc
+
+    profile = profile_with_counts(np.random.default_rng(5), n=3, d=1024, low=2, high=4)
+    tracemalloc.start()
+    try:
+        report = heps_mass(profile, eps=0.05, samples=20_000, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 << 20
+    assert report.mass_estimate == 0.64785  # as from one batch of 20,000: the draws are one stream
+
+
 def test_corner_convergence_d3(d3_profile):
     report = corner_convergence(d3_profile)
     assert report.fraction == 0.5 and report.corners_inside == 2

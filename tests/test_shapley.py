@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -60,6 +61,20 @@ def test_exact_refuses_tables_larger_than_memory(monkeypatch):
     monkeypatch.setattr(shapley, "physical_memory_bytes", lambda: need)
     np.testing.assert_allclose(exact_shapley(Lattice(d)).values, np.ones(d))
     assert asked == [d]
+
+
+def test_memory_refusal_prints_both_sizes_in_one_unit(monkeypatch):
+    """3 MiB of memory against six 2^18 tables (12 MiB): both sizes in
+    MiB, to three significant digits, so the refusal shows by how much."""
+    monkeypatch.setattr(shapley, "physical_memory_bytes", lambda: 3 << 20)
+    with pytest.raises(ComputationError) as caught:
+        shapley.check_lattice("cs-exact", 18, 6)
+    sizes = re.fullmatch(r"cs-exact at d=18 needs about (\S+) MiB for its 2\^d tables; "
+                         r"physical memory is (\S+) MiB", str(caught.value))
+    assert sizes is not None
+    need, have = sizes.groups()
+    assert (need, have) == ("12.0", "3.00")
+    assert float(need) > float(have)
 
 
 def test_constant_vf_gives_zero():
