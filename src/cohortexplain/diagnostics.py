@@ -76,8 +76,9 @@ def heps_mass(
     rng = rng_from(seed)
     hits = 0
     chunk = max(1, 4_000_000 // max(1, *dissim.shape))  # z (batch x d), products (batch x n-1): <= 4M floats
+    batch = np.empty((min(chunk, samples), d))  # one buffer: the next draws overwrite the last
     for start in range(0, samples, chunk):
-        z = rng.random((min(chunk, samples - start), d))  # the same stream whatever the batches
+        z = rng.random(out=batch[: samples - start])  # the same stream whatever the batches
         log_products = np.log1p(np.negative(z, out=z), out=z) @ dissim.T  # (batch, n-1)
         mass = np.exp(log_products, out=log_products).sum(axis=1)
         hits += int((mass >= eps).sum())

@@ -182,6 +182,11 @@ def _prefix_totals(exits, k: int, responses) -> tuple[np.ndarray, Optional[np.nd
     return sizes, sums
 
 
+#: ``superset_tables`` goes dense before its sparse stage holds over 2^(d - 5)
+#: subsets: at n=1000 and d=20 a shift of 5-6 was fastest, of 3 or 8 slower.
+_SPARSE_SHIFT = 5
+
+
 def superset_tables(profile: SimilarityProfile, *weights) -> list[np.ndarray]:
     """One table over the 2^d subsets per row-weight vector: entry u sums
     the weights of the rows similar to the target on every feature of u.
@@ -192,18 +197,46 @@ def superset_tables(profile: SimilarityProfile, *weights) -> list[np.ndarray]:
     for bit b adds entry u + 2^b into u for every u without bit b.  Below
     bit 3, where those runs are 1-4 entries long, it is 2^b one-dimensional
     strided adds instead of one pass over a (-1, 2, 2^b) view; both add the
-    same pairs, so the tables are the same bytes.  The tables, and the one
-    a caller derives from them, are checked against physical memory before
-    the first is allocated.
+    same pairs, so the tables are the same bytes.
+
+    While few subsets are occupied, the first passes run over those alone:
+    sorted keys with their bins (a row-order ``bincount``, as dense), and
+    per bit a ``searchsorted`` for each key's partner key - 2^b, which gets
+    the key's value added, or is inserted with it when absent.  An absent
+    entry is +0.0 and no sum is -0.0 (only -0.0 + -0.0 is), so x + 0.0 is x
+    and every entry gets the dense passes' bytes.  Before the keys would
+    pass 2^(d - ``_SPARSE_SHIFT``), they are binned into the dense tables
+    for the remaining bits; with more rows than that, or d <= the shift,
+    every pass is dense.  All tables are checked against physical memory,
+    with the one a caller derives from them, before the first is allocated.
     """
     d = profile.d
     check_lattice("superset tables", d, len(weights) + 1)
     bits = np.int64(1) << np.arange(d, dtype=np.int64)
     masks = ((1 << d) - 1) ^ (profile.dissimilar * bits).sum(axis=1)
-    tables = []
-    for w in weights:
-        acc = np.bincount(masks, weights=w, minlength=1 << d)
-        for b in range(d):
+    keys, vals, start = masks, weights, 0
+    limit = 1 << max(d - _SPARSE_SHIFT, 0)
+    if d > _SPARSE_SHIFT and profile.n <= limit:
+        keys, bins = np.unique(masks, return_inverse=True)
+        vals = [np.bincount(bins, weights=w, minlength=len(keys)) for w in weights]
+        for start in range(d):
+            h = 1 << start
+            src = np.flatnonzero(keys & h)
+            at = np.searchsorted(keys, keys[src] - h)
+            found = keys[at] == keys[src] - h
+            new = src[~found]
+            if len(keys) + len(new) > limit:
+                break  # by bit d - 5: the target row's subsets double each bit
+            into, src = at[found], src[found]
+            keys = np.concatenate([keys, keys[new] - h])
+            order = np.argsort(keys, kind="stable")  # two sorted runs
+            keys = keys[order]
+            for s, v in enumerate(vals):
+                v[into] += v[src]
+                vals[s] = np.concatenate([v, v[new]])[order]
+    tables = [np.bincount(keys, weights=w, minlength=1 << d) for w in vals]
+    for acc in tables:
+        for b in range(start, d):
             h = 1 << b
             if b < 3:
                 for o in range(h):
@@ -211,5 +244,4 @@ def superset_tables(profile: SimilarityProfile, *weights) -> list[np.ndarray]:
             else:
                 view = acc.reshape(-1, 2, h)
                 view[:, 0, :] += view[:, 1, :]
-        tables.append(acc)
     return tables

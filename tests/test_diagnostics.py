@@ -119,8 +119,10 @@ def test_heps_estimate_matches_brute_force_probability():
 
 def test_heps_batches_are_bounded_by_d():
     """A batch's draws are batch x d floats, so at n=3 and d=1024 the
-    batch size must count d, not only the n - 1 rows: the traced peak
-    stays under 100 MiB (469 MiB when only n - 1 bounded it)."""
+    batch size must count d, not only the n - 1 rows, and every batch is
+    drawn into one buffer: the traced peak stays under 40 MiB (61 MiB
+    when each batch was a new array, drawn while the last was alive, and
+    469 MiB when only n - 1 bounded the batch)."""
     import tracemalloc
 
     profile = profile_with_counts(np.random.default_rng(5), n=3, d=1024, low=2, high=4)
@@ -130,7 +132,7 @@ def test_heps_batches_are_bounded_by_d():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 100 << 20
+    assert peak < 40 << 20
     assert report.mass_estimate == 0.64785  # as from one batch of 20,000: the draws are one stream
 
 

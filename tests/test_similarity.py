@@ -86,8 +86,8 @@ def test_superset_tables_match_brute_force():
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(
-    st.integers(1, 12),
-    st.integers(1, 40),
+    st.integers(1, 16),
+    st.integers(1, 300),
     st.floats(0.0, 1.0),
     st.sampled_from([1e-300, 1e-3, 1.0, 1e6, 1e300]),
     st.integers(0, 2**32 - 1),
@@ -101,6 +101,43 @@ def test_superset_tables_match_per_bit_passes_bytes(d, n, density, scale, seed):
     got = superset_tables(profile, np.ones(n), w)
     want = superset_tables_by_bits(profile, np.ones(n), w)
     assert [t.tobytes() for t in got] == [t.tobytes() for t in want]
+
+
+def _staged_profile(case, rng):
+    """(profile, weights) for one fixed case of the sparse-stage test."""
+    d, n = {"all-target": (12, 50), "skipped": (10, 40), "low-d": (5, 1), "one-row": (14, 1),
+            "signed-zeros": (12, 60)}[case]
+    S = np.ones((n, d), dtype=bool) if case == "all-target" else rng.random((n, d)) < 0.85
+    S[0] = True
+    w = rng.normal(size=n)
+    if case == "signed-zeros":
+        w[::3], w[1::3] = -0.0, 0.0
+    return profile_from_indicators(S, 0), w
+
+
+@pytest.mark.parametrize(
+    "case, staged",
+    [("all-target", True), ("skipped", False), ("low-d", False), ("one-row", True), ("signed-zeros", True)],
+)
+def test_superset_tables_sparse_stage_cases(case, staged, monkeypatch):
+    """The sparse stage runs when n <= 2^(d - 5) and d > 5, and its tables
+    are the per-bit passes' bytes: every row the target's (the occupied
+    subsets double each bit), more rows than 2^(d - 5), d <= 5, a single
+    row, and weights of -0.0 and 0.0, whose bins are +0.0 in both."""
+    profile, w = _staged_profile(case, np.random.default_rng(26))
+    searches = []
+    search = np.searchsorted
+
+    def counted(*args, **kwargs):
+        searches.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counted)
+    got = superset_tables(profile, np.ones(profile.n), w, -w)
+    monkeypatch.undo()
+    want = superset_tables_by_bits(profile, np.ones(profile.n), w, -w)
+    assert [t.tobytes() for t in got] == [t.tobytes() for t in want]
+    assert bool(searches) == staged
 
 
 def test_target_row_all_similar_for_any_rule():

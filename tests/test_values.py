@@ -18,6 +18,7 @@ from cohortexplain import (
     SingularCovariance,
     UniquenessValue,
     cohort,
+    corner_convergence,
     exact_shapley,
 )
 from cohortexplain import shapley
@@ -30,6 +31,7 @@ from oracles import (
     gkw_weights_cholesky,
     shapley_by_permutations,
     subsets,
+    superset_tables_by_bits,
 )
 
 
@@ -304,6 +306,21 @@ def test_evaluate_rejects_features_outside_range(make, feature):
         vf.evaluate([feature])
     with pytest.raises(ValueError):
         vf.evaluate([0, feature])
+
+
+def test_lattice_callers_match_per_bit_tables():
+    """At d=16 and n=300 the superset tables start sparse; what each caller
+    derives from them is the bytes it derives from the per-bit passes."""
+    rng = np.random.default_rng(16)
+    n = 300
+    profile, y, cv = random_cohort_instance(rng, n=n, d=16, target=7, density=0.9)
+    counts, sums = superset_tables_by_bits(profile, np.ones(n), y)
+    assert cv.all_values().tobytes() == (sums / counts).tobytes()
+    assert UniquenessValue(profile).all_values().tobytes() == (-np.log2(counts)).tobytes()
+    nontarget = np.ones(n)
+    nontarget[7] = 0.0
+    (table,) = superset_tables_by_bits(profile, nontarget)
+    assert corner_convergence(profile).corners_inside == np.count_nonzero(table)
 
 
 def test_exact_cohort_shapley_peak_within_budget():
