@@ -9,7 +9,6 @@ insertion/deletion ABC evaluation, and convergence diagnostics.
 
 from .data import (
     AbsoluteRange,
-    ColumnKind,
     Dataset,
     Equality,
     RelativeRange,
@@ -69,7 +68,6 @@ __all__ = [
     "CategoricalFeatureUnsupported",
     "CohortExplainError",
     "CohortValue",
-    "ColumnKind",
     "ComputationError",
     "ConfigError",
     "ConvergenceReport",

@@ -24,7 +24,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .data import (
-    ColumnKind,
     Dataset,
     RelativeRange,
     SimilaritySpec,
@@ -174,10 +173,10 @@ def _setup(args) -> tuple[Dataset, SimilaritySpec, dict]:
     schema = {}
     for item in args.schema or []:
         name, sep, kind = item.partition("=")
-        if not sep or kind not in ("numeric", "categorical"):
+        if not sep:
             raise ConfigError(f"bad schema override {item!r}; expected COL=numeric|categorical")
-        schema[name] = ColumnKind(kind)
-    ds = load_dataset(args.data, args.response, args.response_mode, schema or None)
+        schema[name] = kind
+    ds = load_dataset(args.data, args.response, args.response_mode, schema)
     default, overrides = None, {}
     if args.config:
         default, overrides = parse_similarity_config("".join(read_lines(args.config, ConfigError)))
@@ -197,7 +196,7 @@ def _setup(args) -> tuple[Dataset, SimilaritySpec, dict]:
         "data": str(args.data),
         "response": args.response,
         "response_mode": args.response_mode,
-        "schema_overrides": {k: v.value for k, v in schema.items()},
+        "schema_overrides": schema,
         "similarity_default": default.token(),
         "similarity_overrides": {k: v.token() for k, v in sorted(overrides.items())},
         "n": ds.n,
@@ -393,17 +392,12 @@ def _compare_variants(names: list[str], params: dict) -> list[tuple[str, str, di
 
 
 def _cmd_compare(args) -> int:
-    names = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if not names:
-        raise ConfigError("--methods must name at least one method")
-    for m in names:
-        if m not in METHODS:
-            raise ConfigError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
+    names = args.methods
     params = _method_params(args, names)
     variants = _compare_variants(names, params)
     ds, spec, config = _setup(args)
     targets = _parse_targets(args.targets, ds.n)
-    config.update({"methods": args.methods, "targets": args.targets, "seed": params["seed"]})
+    config.update({"methods": ",".join(names), "targets": args.targets, "seed": params["seed"]})
     _check_workers(names, ds.d, min(args.threads, len(targets)))
 
     def one(name, variant, ctx):  # one context per variant and target: its seconds include its profile
@@ -498,8 +492,18 @@ _count, _seed = _int_at_least(1), _int_at_least(0)
 
 
 def _counts(text: str) -> list[int]:
-    """A comma list of counts: ``compare`` makes one row per value."""
-    return [_count(v) for v in text.split(",")]
+    """A comma list of counts: ``compare`` makes one row per value, a
+    repeated value counting once."""
+    return list(dict.fromkeys(_count(v) for v in text.split(",")))
+
+
+def _methods(text: str) -> list[str]:
+    """A comma list of method names, a repeated name counting once."""
+    names = [name.strip() for name in text.split(",")]
+    for name in names:
+        if name not in METHODS:
+            raise argparse.ArgumentTypeError(f"unknown method {name!r}; choose from {', '.join(METHODS)}")
+    return list(dict.fromkeys(names))
 
 
 def _add_dataset_options(parser):
@@ -556,7 +560,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="ABC and timing table across methods")
     _add_dataset_options(p)
-    p.add_argument("--methods", required=True, help="comma-separated method list")
+    p.add_argument("--methods", type=_methods, required=True, help="comma-separated method list")
     p.add_argument("--targets", default="all", help='e.g. "all", "3", "0-99", "1,4,7"')
     p.add_argument("--steps", type=_counts, help="comma-separated quadrature steps for igcs rows")
     p.add_argument("--samples", type=_counts, help="comma-separated sample budgets for cs-mc rows")

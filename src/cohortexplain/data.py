@@ -1,8 +1,8 @@
 """CSV-backed dataset loading, column typing, and response derivation.
 
 The only input format is CSV with a header row, UTF-8, comma delimiter and
-'.' decimal point.  A column is inferred Numeric when every entry parses as
-a finite real; otherwise it is Categorical, coded by distinct strings in
+'.' decimal point.  A column is inferred numeric when every entry parses as
+a finite real; otherwise it is categorical, coded by distinct strings in
 first-appearance order.  Empty cells are missing values and a load error.
 
 The reference loader is ``csv.reader`` plus ``float()`` (``_read_rows`` and
@@ -23,7 +23,6 @@ the per-column arrays a ``SimilaritySpec`` derives from its rules.
 from __future__ import annotations
 
 import csv
-import enum
 import io
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
@@ -39,11 +38,6 @@ from .errors import (
     NonNumericResponse,
     NonNumericValue,
 )
-
-
-class ColumnKind(enum.Enum):
-    NUMERIC = "numeric"
-    CATEGORICAL = "categorical"
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +152,10 @@ class Dataset:
     Numeric columns hold the parsed reals; categorical columns hold integer
     codes, code k standing for label ``categories[j][k]``.  ``categories``
     is the one statement of each column's kind: None for a numeric column,
-    the tuple of distinct labels for a categorical one; ``kinds`` is derived
-    from it.  A code that is not an integer in [0, len(labels)), or a label
-    that repeats, is a ``DataError``.  Arrays are read-only so the dataset
-    can be shared across parallel workers.  Datasets compare and hash by
-    identity.
+    the tuple of distinct labels for a categorical one.  A code that is not
+    an integer in [0, len(labels)), or a label that repeats, is a
+    ``DataError``.  Arrays are read-only so the dataset can be shared across
+    parallel workers.  Datasets compare and hash by identity.
 
     The column facts that every similarity width and profile reads are
     computed once, from one min/max pass over the features:
@@ -179,7 +172,6 @@ class Dataset:
     column_names: tuple[str, ...]
     categories: tuple[Optional[tuple[str, ...]], ...]
     response_name: str = "y"
-    kinds: tuple[ColumnKind, ...] = field(init=False)
     categorical: np.ndarray = field(init=False, repr=False)
     low: np.ndarray = field(init=False, repr=False)
     high: np.ndarray = field(init=False, repr=False)
@@ -232,8 +224,6 @@ class Dataset:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "column_names", names)
         object.__setattr__(self, "categories", cats)
-        object.__setattr__(self, "kinds", tuple(
-            ColumnKind.NUMERIC if c is None else ColumnKind.CATEGORICAL for c in cats))
 
     @property
     def n(self) -> int:
@@ -345,7 +335,7 @@ def load_dataset(
     path,
     response_column: str,
     response_mode: str = "raw",
-    schema_overrides: Optional[dict[str, ColumnKind]] = None,
+    schema_overrides: Optional[dict[str, str]] = None,
 ) -> Dataset:
     """Load and validate a CSV file into a Dataset.
 
@@ -355,8 +345,10 @@ def load_dataset(
     (y - pred)^2 against the prediction column COL, which must be another
     column than the response.  The response and prediction columns are
     excluded from the feature matrix; feature column order is preserved.
-    ``schema_overrides`` maps column names to a ColumnKind and wins over
-    type inference.
+    ``schema_overrides`` maps column names to the CLI's ``--schema`` token,
+    ``numeric`` or ``categorical``, and wins over type inference; any other
+    token, the response or prediction column made categorical, or a column
+    that the header lacks is a ``ConfigError``.
 
     Without a categorical override, a plain numeric file is read by the fast
     path (see the module docstring); every other file, and every file the
@@ -364,9 +356,14 @@ def load_dataset(
     """
     residual, pred_column = _parse_response_mode(response_mode, response_column)
     overrides = dict(schema_overrides or {})
+    for name, kind in overrides.items():
+        if kind not in ("numeric", "categorical"):
+            raise ConfigError(f"bad kind {kind!r} for column {name!r}; expected numeric or categorical")
+        if kind == "categorical" and name in (response_column, pred_column):
+            raise ConfigError(f"response or prediction column {name!r} cannot be categorical")
     with open(path, "rb") as fh:
         raw = fh.read()
-    plain = None if ColumnKind.CATEGORICAL in overrides.values() else _read_plain(raw)
+    plain = None if "categorical" in overrides.values() else _read_plain(raw)
     if plain is None:
         header, data = _read_rows(path, raw)
         table = _parse_table(data, len(header))
@@ -382,9 +379,6 @@ def load_dataset(
         raise MissingColumn(response_column)
     if pred_column is not None and pred_column not in header:
         raise MissingColumn(pred_column)
-    for name in (response_column, pred_column):
-        if overrides.get(name) is ColumnKind.CATEGORICAL:
-            raise ConfigError(f"response or prediction column {name!r} cannot be categorical")
 
     finite = np.isfinite(table).all(axis=0)
     index = {name: i for i, name in enumerate(header)}
@@ -408,8 +402,7 @@ def load_dataset(
     categories: list[Optional[tuple[str, ...]]] = []
     for j, name in enumerate(feature_names):
         i = index[name]
-        kind = overrides.get(name, ColumnKind.NUMERIC if finite[i] else ColumnKind.CATEGORICAL)
-        if kind is ColumnKind.NUMERIC:
+        if overrides.get(name, "numeric" if finite[i] else "categorical") == "numeric":
             numeric(name, NonNumericValue)  # raises if an override forced a non-real column
             categories.append(None)
         else:
@@ -430,12 +423,9 @@ def dataset_summary(ds: Dataset) -> str:
     """Structured text report: n, d, column types and ranges."""
     width = max(len(name) for name in ds.column_names)
     lines = [f"dataset: n={ds.n} rows, d={ds.d} features, response={ds.response_name}"]
-    for j, name in enumerate(ds.column_names):
-        if ds.kinds[j] is ColumnKind.NUMERIC:
-            detail = f"range={float(ds.ranges[j])!r}"
-        else:
-            detail = f"levels={len(ds.categories[j])}"
-        lines.append(f"  {name.ljust(width)}  {ds.kinds[j].value:<12} {detail}")
+    for name, span, labels in zip(ds.column_names, ds.ranges.tolist(), ds.categories):
+        kind, detail = ("numeric", f"range={span!r}") if labels is None else ("categorical", f"levels={len(labels)}")
+        lines.append(f"  {name.ljust(width)}  {kind:<12} {detail}")
     return "\n".join(lines)
 
 
@@ -466,14 +456,18 @@ def make_similarity_spec(
     overrides: Optional[dict[str, SimilarityRule]] = None,
 ) -> SimilaritySpec:
     """Build a per-column spec: the default for numeric columns, Equality for
-    categorical ones, with explicit per-column overrides winning."""
+    categorical ones, with explicit per-column overrides winning.  An
+    override of the response column or of a column the dataset lacks is a
+    ``ConfigError``."""
     overrides = dict(overrides or {})
     unknown = set(overrides) - set(ds.column_names)
+    if ds.response_name in unknown:
+        raise ConfigError(f"column {ds.response_name!r} is the response column; it takes no similarity rule")
     if unknown:
         raise MissingColumn(min(unknown))
     spec = SimilaritySpec(tuple(
-        overrides.get(name, Equality() if kind is ColumnKind.CATEGORICAL else default)
-        for name, kind in zip(ds.column_names, ds.kinds)
+        overrides.get(name, default if labels is None else Equality())
+        for name, labels in zip(ds.column_names, ds.categories)
     ))
     similarity_widths(ds, spec)
     return spec

@@ -3,7 +3,6 @@ import pytest
 
 from cohortexplain import (
     CohortValue,
-    ColumnKind,
     Dataset,
     Equality,
     SimilarityProfile,
@@ -15,14 +14,14 @@ D3_RESPONSES = np.array([1.0, 2.0, 3.0])
 
 
 def make_dataset(features, responses, kinds=None, names=None, response_name="y") -> Dataset:
-    """A dataset whose categorical columns (by ``kinds``) hold codes 0..k,
-    labelled "0".."k"."""
+    """A dataset whose categorical columns (``kinds``, a ``numeric`` or
+    ``categorical`` token per column) hold codes 0..k, labelled "0".."k"."""
     features = np.asarray(features, dtype=float)
     d = features.shape[1]
-    kinds = tuple(kinds) if kinds is not None else (ColumnKind.NUMERIC,) * d
+    kinds = tuple(kinds) if kinds is not None else ("numeric",) * d
     names = tuple(names) if names is not None else tuple(f"x{j + 1}" for j in range(d))
     categories = tuple(
-        tuple(str(k) for k in range(int(features[:, j].max()) + 1)) if kinds[j] is ColumnKind.CATEGORICAL else None
+        tuple(str(k) for k in range(int(features[:, j].max()) + 1)) if kinds[j] == "categorical" else None
         for j in range(d)
     )
     return Dataset(

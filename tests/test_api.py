@@ -6,7 +6,7 @@ import cohortexplain
 
 PUBLIC = [
     "AbcReport", "AbsoluteRange", "Attribution", "CategoricalFeatureUnsupported",
-    "CohortExplainError", "CohortValue", "ColumnKind", "ComputationError",
+    "CohortExplainError", "CohortValue", "ComputationError",
     "ConfigError", "ConvergenceReport", "CornerReport", "DataError", "Dataset", "DimensionMismatch",
     "DimensionTooLarge", "EmptyDataset", "EmptyDissimSet", "EpsOutOfRange", "Equality", "GkwValue",
     "MissingColumn", "MissingValue", "NonNumericResponse", "NonNumericValue",

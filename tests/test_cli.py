@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from cohortexplain import cli
+from cohortexplain import ConfigError, cli
 from cohortexplain.cli import main
 
 D3_CSV = "x1,x2,y\n0,0,1\n0,1,2\n1,1,3\n"
@@ -416,17 +416,90 @@ def test_out_of_range_argument_is_a_config_error(tmp_path, capsys, command, opti
     assert json.loads(line)["error"] == error
 
 
-@pytest.mark.parametrize("mode, schema, code", [
+SCHEMA_CASES = [
     ("raw", "y=categorical", 2),
     ("residual:p", "p=categorical", 2),
     ("residual:p", "y=numeric", 0),
     ("residual:p", "p=numeric", 0),
-])
+]
+
+
+@pytest.mark.parametrize("mode, schema, code", SCHEMA_CASES)
 def test_schema_response_column_must_be_numeric(tmp_path, mode, schema, code):
     data = tmp_path / "p.csv"
     data.write_text("x1,p,y\n0,1,1\n1,2,2\n1,2,3\n", encoding="utf-8")
     assert run("similarity", "--data", str(data), "--response", "y", "--response-mode", mode,
                "--schema", schema, "--target", "0", "--out", str(tmp_path / "s.csv")) == code
+
+
+@pytest.mark.parametrize("mode, schema, code", SCHEMA_CASES)
+def test_schema_token_reaches_the_library(tmp_path, capsys, monkeypatch, mode, schema, code):
+    """``--schema COL=KIND`` hands its token to ``load_dataset``: the CLI
+    loads the dataset, or prints the error, that the library gives."""
+    data = tmp_path / "p.csv"
+    data.write_text("x1,p,y\n0,1,1\n1,2,2\n1,2,3\n", encoding="utf-8")
+    name, kind = schema.split("=")
+    try:
+        want = cli.load_dataset(data, "y", mode, {name: kind})
+    except ConfigError as exc:
+        want = exc
+    calls, loaded = [], []
+    original = cli.load_dataset
+
+    def spy(*args):
+        calls.append(args)
+        loaded.append(original(*args))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "load_dataset", spy)
+    assert run("similarity", "--data", str(data), "--response", "y", "--response-mode", mode,
+               "--schema", schema, "--target", "0", "--out", str(tmp_path / "s.csv")) == code
+    assert calls[0][3] == {name: kind}
+    if code:
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {"error": type(want).__name__, "message": str(want)}
+        return
+    (got,) = loaded
+    assert got.features.tobytes() == want.features.tobytes()
+    assert got.responses.tobytes() == want.responses.tobytes()
+    assert (got.column_names, got.categories, got.response_name) == (
+        want.column_names, want.categories, want.response_name)
+
+
+def test_describe_and_header_of_a_schema_run_are_pinned(tmp_path, capsys):
+    """``similarity --describe`` and the attribution header of a run with
+    ``--schema`` overrides, byte for byte."""
+    data = tmp_path / "k.csv"
+    data.write_text("x1,x2,y\n0,0.25,1\n1,1.5,2\n0,0.75,3\n", encoding="utf-8")
+    common = ["--data", str(data), "--response", "y", "--schema", "x1=categorical", "--schema", "x2=numeric"]
+    assert run("similarity", *common, "--target", "0", "--describe", "--out", str(tmp_path / "s.csv")) == 0
+    assert capsys.readouterr().err == (
+        "dataset: n=3 rows, d=2 features, response=y\n"
+        "  x1  categorical  levels=2\n"
+        "  x2  numeric      range=1.25\n"
+    )
+    out = tmp_path / "a.jsonl"
+    assert run("attribute", *common, "--method", "igcs", "--targets", "0", "--out", str(out)) == 0
+    assert out.read_text(encoding="utf-8").splitlines()[0] == (
+        '{"command": "attribute", "d": 2, "data": ' + json.dumps(str(data)) + ', "method": "igcs", "n": 3, '
+        '"response": "y", "response_mode": "raw", "schema": "cohortexplain.attribution/1", '
+        '"schema_overrides": {"x1": "categorical", "x2": "numeric"}, "similarity_default": "relative:0.1", '
+        '"similarity_overrides": {}, "steps": 50, "targets": "0"}'
+    )
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_similarity_rule_for_the_response_column_is_refused(tmp_path, capsys, route):
+    """A rule for the response column exits 2 naming it as the response,
+    not as a column that the header lacks."""
+    config = tmp_path / "similarity.cfg"
+    config.write_text("similarity.y = equality\n", encoding="utf-8")
+    option = ["--similarity", "y=equality"] if route == "flag" else ["--config", str(config)]
+    assert run("attribute", "--data", str(write_d3(tmp_path)), "--response", "y", *option,
+               "--method", "cs-exact", "--targets", "0", "--out", str(tmp_path / "out")) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {
+        "error": "ConfigError", "message": "column 'y' is the response column; it takes no similarity rule"}
 
 
 def _run_python(code: str, *args: str) -> subprocess.CompletedProcess:
@@ -674,6 +747,38 @@ def test_compare_builds_each_profile_once(tmp_path, monkeypatch):
                "--samples", "3", "--targets", "all", "--threads", "1",
                "--out", str(tmp_path / "cmp.csv")) == 0
     assert len(calls) == 3 * 3  # (igcs x 2 + cs-mc) variants x 3 targets
+
+
+@pytest.mark.parametrize("methods", ["igcs,,cs-mc", "igcs,bogus", "igcs,", ""],
+                         ids=["empty-token", "unknown-name", "trailing-comma", "empty-list"])
+def test_compare_methods_are_checked_in_the_parser(tmp_path, capsys, methods):
+    """An empty or unknown method name exits 2 before the load: the data
+    file, absent here, is never opened."""
+    assert run("compare", "--data", str(tmp_path / "absent.csv"), "--response", "y",
+               "--methods", methods, "--out", str(tmp_path / "cmp.csv")) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "ConfigError"
+    assert error["message"].startswith("argument --methods: unknown method")
+
+
+@pytest.mark.parametrize("repeated, single", [
+    (["--methods", "igcs,igcs"], ["--methods", "igcs"]),
+    (["--methods", "igcs,cs-mc,igcs"], ["--methods", "igcs,cs-mc"]),
+    (["--methods", "igcs", "--steps", "5,5"], ["--methods", "igcs", "--steps", "5"]),
+    (["--methods", "cs-mc", "--samples", "3,4,3"], ["--methods", "cs-mc", "--samples", "3,4"]),
+], ids=["method", "method-later", "steps", "samples"])
+def test_compare_counts_a_repeated_entry_once(tmp_path, repeated, single):
+    """A method or a ``--steps``/``--samples`` value given twice makes one
+    row, at its first appearance, as a repeated ``--targets`` index does."""
+    data = write_d3(tmp_path)
+    tables = []
+    for options in (repeated, single):
+        out = tmp_path / "cmp.csv"
+        assert run("compare", *d3_args(data), *options, "--targets", "all", "--out", str(out)) == 0
+        header, *lines = out.read_text(encoding="utf-8").splitlines()
+        tables.append((header, [row[:-1] for row in csv.reader(lines)]))  # less the timing column
+    assert tables[0] == tables[1]
 
 
 @pytest.mark.parametrize("methods, option", [

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from cohortexplain import (
     AbsoluteRange,
-    ColumnKind,
     ConfigError,
     DataError,
     Dataset,
@@ -48,7 +47,7 @@ def test_identity_load(tmp_path):
     assert ds.column_names == ("a", "b")
     np.testing.assert_array_equal(ds.responses, [10.0, 20.0, 30.0])
     np.testing.assert_array_equal(ds.features, [[1, 2], [3, 4], [5, 6]])
-    assert all(kind is ColumnKind.NUMERIC for kind in ds.kinds)
+    assert not ds.categorical.any()
 
 
 def test_residual_modes(tmp_path):
@@ -128,7 +127,7 @@ def test_non_numeric_response(tmp_path):
 def test_categorical_inference_first_appearance_order(tmp_path):
     path = write(tmp_path / "d.csv", "color,y\nred,1\nblue,2\nred,3\ngreen,4\n")
     ds = load_dataset(path, "y")
-    assert ds.kinds == (ColumnKind.CATEGORICAL,)
+    assert ds.categorical.tolist() == [True]
     assert ds.categories[0] == ("red", "blue", "green")
     np.testing.assert_array_equal(ds.features[:, 0], [0, 1, 0, 2])
 
@@ -136,20 +135,45 @@ def test_categorical_inference_first_appearance_order(tmp_path):
 def test_schema_override_wins(tmp_path):
     path = write(tmp_path / "d.csv", "code,y\n1,1\n2,2\n1,3\n")
     inferred = load_dataset(path, "y")
-    assert inferred.kinds == (ColumnKind.NUMERIC,)
-    forced = load_dataset(path, "y", schema_overrides={"code": ColumnKind.CATEGORICAL})
-    assert forced.kinds == (ColumnKind.CATEGORICAL,)
+    assert inferred.categorical.tolist() == [False]
+    forced = load_dataset(path, "y", schema_overrides={"code": "categorical"})
+    assert forced.categorical.tolist() == [True]
     assert forced.categories[0] == ("1", "2")
 
     bad = write(tmp_path / "b.csv", "code,y\nabc,1\n")
     with pytest.raises(NonNumericValue):
-        load_dataset(bad, "y", schema_overrides={"code": ColumnKind.NUMERIC})
+        load_dataset(bad, "y", schema_overrides={"code": "numeric"})
+
+
+@pytest.mark.parametrize("terminator", ["\n", "\r\n"], ids=["plain", "crlf"])
+def test_numeric_override_keeps_a_numeric_column(tmp_path, terminator):
+    """The ``numeric`` token keeps the column numeric on the fast path and
+    on the reference loader (a CRLF file) alike."""
+    path = tmp_path / "d.csv"
+    path.write_bytes("a,y\n1,1\n2,2\n1,3\n".replace("\n", terminator).encode())
+    ds = load_dataset(path, "y", schema_overrides={"a": "numeric"})
+    assert ds.categories == (None,)
+    np.testing.assert_array_equal(ds.features[:, 0], [1.0, 2.0, 1.0])
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"a": "bogus"}, "bad kind 'bogus' for column 'a'; expected numeric or categorical"),
+    ({"a": "Categorical"}, "bad kind 'Categorical' for column 'a'; expected numeric or categorical"),
+    ({"y": "categorical"}, "response or prediction column 'y' cannot be categorical"),
+], ids=["bogus", "wrong-case", "response-categorical"])
+def test_bad_schema_override_is_a_config_error(tmp_path, overrides, message):
+    """An override is checked before the file is read: a missing file does
+    not mask it."""
+    for path in (write(tmp_path / "d.csv", "a,y\n1,1\n2,2\n"), tmp_path / "absent.csv"):
+        with pytest.raises(ConfigError) as info:
+            load_dataset(path, "y", schema_overrides=overrides)
+        assert type(info.value) is ConfigError and str(info.value) == message
 
 
 def test_non_finite_tokens_are_not_numeric(tmp_path):
     path = write(tmp_path / "d.csv", "a,y\nnan,1\n2,2\n")
     ds = load_dataset(path, "y")
-    assert ds.kinds == (ColumnKind.CATEGORICAL,)
+    assert ds.categorical.tolist() == [True]
 
 
 NUMERIC_CELLS = st.one_of(
@@ -244,8 +268,8 @@ def assert_same_load(got, want):
     assert got.features.flags.c_contiguous and want.features.flags.c_contiguous
     assert got.features.tobytes() == want.features.tobytes()
     assert got.responses.tobytes() == want.responses.tobytes()
-    assert (got.column_names, got.kinds, got.categories, got.response_name) == (
-        want.column_names, want.kinds, want.categories, want.response_name)
+    assert (got.column_names, got.categories, got.response_name) == (
+        want.column_names, want.categories, want.response_name)
 
 
 def check_against_oracle(path, columns, forced):
@@ -253,7 +277,7 @@ def check_against_oracle(path, columns, forced):
     whether the fast path read the file."""
     *features, y = columns
     names = [f"c{j}" for j in range(len(features))]
-    overrides = {names[j]: ColumnKind.NUMERIC for j in forced}
+    overrides = {names[j]: "numeric" for j in forced}
     result, fast = load_traced(path, schema_overrides=overrides)
 
     empty = next(((r, c) for r, row in enumerate(zip(*columns)) for c, cell in enumerate(row) if cell == ""), None)
@@ -281,7 +305,7 @@ def check_against_oracle(path, columns, forced):
     assert ds.responses.tobytes() == np.array([float(c) for c in y]).tobytes()
     for j, cells in enumerate(features):
         kind, column, categories = infer_column(cells)
-        assert ds.kinds[j].value == kind
+        assert ds.categorical[j] == (kind == "categorical")
         assert ds.categories[j] == categories
         assert ds.features[:, j].tobytes() == column.tobytes()
     return fast
@@ -341,7 +365,7 @@ def test_plain_loader_matches_per_cell_oracle(tmp_path_factory, table):
     assert check_against_oracle(path, columns, forced) != rejected
 
 
-CATEGORICAL_X = {"x": ColumnKind.CATEGORICAL}
+CATEGORICAL_X = {"x": "categorical"}
 LIMIT = csv.field_size_limit()
 LONG_HEADER = b"h" * 140_000 + b",y\n0,1\n1,2\n"
 LONG_CELL = b"x,y\n" + b"a" * 140_000 + b",1\n1,2\n"
@@ -367,7 +391,7 @@ LONG_CELL = b"x,y\n" + b"a" * 140_000 + b",1\n1,2\n"
     (b"a,a,y\n1,2,3\n", {}, False, DataError),
     (b"a,y\n1e400,1\n2,3\n", {}, False, Dataset),
     (b"x,y\n0,1\n1,2\n0,3\n", {"schema_overrides": CATEGORICAL_X}, False, Dataset),
-    (b"x,y\n0,1\n1,2\n0,3\n", {"schema_overrides": {"x": ColumnKind.NUMERIC}}, True, Dataset),
+    (b"x,y\n0,1\n1,2\n0,3\n", {"schema_overrides": {"x": "numeric"}}, True, Dataset),
     (LONG_HEADER, {}, False, DataError),
     (b"h" * LIMIT + b",y\n0,1\n1,2\n", {}, True, Dataset),
     (b"x,y\n" + b"0" * 140_000 + b",1\n1,2\n", {}, False, DataError),
@@ -466,7 +490,7 @@ def test_feature_ranges():
     np.testing.assert_array_equal(const.ranges, [0.0])
     two = make_dataset([[0.0, 1.0], [2.0, 3.0]], [0, 0])
     np.testing.assert_array_equal(two.ranges, [2.0, 2.0])
-    cat = make_dataset([[0.0], [3.0]], [0, 0], kinds=(ColumnKind.CATEGORICAL,))
+    cat = make_dataset([[0.0], [3.0]], [0, 0], kinds=("categorical",))
     np.testing.assert_array_equal(cat.ranges, [0.0])
 
 
@@ -507,9 +531,9 @@ def test_dataset_kinds_follow_the_labels():
                        column_names=("c",), categories=(labels,))
 
     numeric = build([2.0, 0.5], None)
-    assert numeric.kinds == (ColumnKind.NUMERIC,) and not numeric.categorical.any()
+    assert not numeric.categorical.any()
     labelled = build([1.0, 0.0, 1.0], ("red", "blue"))
-    assert labelled.kinds == (ColumnKind.CATEGORICAL,) and labelled.categorical.all()
+    assert labelled.categorical.all()
     for ds, detail in ((numeric, "numeric range=1.5"), (labelled, "categorical levels=2")):
         assert dataset_summary(ds).splitlines()[1].split() == ["c", *detail.split()]
     for column, labels in [
@@ -537,7 +561,7 @@ def test_rule_validation():
 def test_make_similarity_spec():
     ds = make_dataset(
         [[0.0, 1.0], [1.0, 0.0]], [0, 0],
-        kinds=(ColumnKind.NUMERIC, ColumnKind.CATEGORICAL),
+        kinds=("numeric", "categorical"),
     )
     spec = make_similarity_spec(ds)
     assert spec.rules == (RelativeRange(0.1), Equality())

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from cohortexplain import (
     AbsoluteRange,
     CohortValue,
-    ColumnKind,
     ConfigError,
     Equality,
     RelativeRange,
@@ -195,7 +194,7 @@ def mixed_tables(draw):
         style = draw(st.sampled_from(["numeric", "constant", "categorical"]))
         if style == "categorical":
             columns.append(draw(st.lists(st.integers(0, 1 if two_level else 3), min_size=n, max_size=n)))
-            kinds.append(ColumnKind.CATEGORICAL)
+            kinds.append("categorical")
             rules.append(Equality())
             continue
         if two_level:
@@ -204,7 +203,7 @@ def mixed_tables(draw):
         else:
             column = draw(st.lists(cells, min_size=n, max_size=n))
         columns.append(column if style == "numeric" else [column[0]] * n)
-        kinds.append(ColumnKind.NUMERIC)
+        kinds.append("numeric")
         if draw(st.booleans()):
             i, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
             with np.errstate(over="ignore"):
@@ -294,7 +293,7 @@ def test_overflowing_differences_raise_no_warning():
 
 @pytest.mark.parametrize("rule", [RelativeRange(1.0), AbsoluteRange(0.0)], ids=["relative", "absolute"])
 def test_categorical_column_needs_equality(rule):
-    ds = make_dataset([[0.0, 1.0], [1.0, 0.0]], [0, 0], kinds=(ColumnKind.NUMERIC, ColumnKind.CATEGORICAL))
+    ds = make_dataset([[0.0, 1.0], [1.0, 0.0]], [0, 0], kinds=("numeric", "categorical"))
     with pytest.raises(ConfigError, match="'x2' must use the equality rule"):
         make_similarity_spec(ds, overrides={"x2": rule})
     with pytest.raises(ConfigError, match="'x2' must use the equality rule"):
@@ -302,7 +301,7 @@ def test_categorical_column_needs_equality(rule):
 
 
 def test_hand_built_specs_are_validated():
-    ds = make_dataset([[0.0, 1.0], [4.0, 0.0]], [0, 0], kinds=(ColumnKind.NUMERIC, ColumnKind.CATEGORICAL))
+    ds = make_dataset([[0.0, 1.0], [4.0, 0.0]], [0, 0], kinds=("numeric", "categorical"))
     spec = make_similarity_spec(ds)
     with pytest.raises(ConfigError, match="spec has 1 rules for 2 columns"):
         build_profile(ds, SimilaritySpec((Equality(),)), 0)

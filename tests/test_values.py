@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from cohortexplain import (
     CategoricalFeatureUnsupported,
     CohortValue,
-    ColumnKind,
     ComputationError,
     ConfigError,
     GkwValue,
@@ -155,7 +154,7 @@ def test_gkw_affine_invariance_without_ridge():
 
 
 def test_gkw_requires_numeric():
-    ds = make_dataset([[0.0], [1.0]], [0, 1], kinds=(ColumnKind.CATEGORICAL,))
+    ds = make_dataset([[0.0], [1.0]], [0, 1], kinds=("categorical",))
     with pytest.raises(CategoricalFeatureUnsupported):
         GkwValue(ds, target_index=0)
 
