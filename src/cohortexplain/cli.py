@@ -30,6 +30,7 @@ from .data import (
     dataset_summary,
     load_dataset,
     make_similarity_spec,
+    parse_response_mode,
     parse_rule,
     parse_similarity_config,
     read_lines,
@@ -100,7 +101,7 @@ def _random(t: TargetContext, p: dict) -> Attribution:
     d, nu = t.profile.d, t.value
     values = np.empty(d)
     values[fisher_yates(rng_from(p["seed"], t.target), d)] = np.arange(d, 0, -1, dtype=float)
-    return Attribution(values, nu.evaluate(()), nu.evaluate(tuple(range(d))), t.target)
+    return Attribution(values, nu.evaluate(()), nu.evaluate(tuple(range(d))))
 
 
 METHODS = {
@@ -169,7 +170,8 @@ def _parse_targets(text: str, n: int) -> list[int]:
 
 def _setup(args) -> tuple[Dataset, SimilaritySpec, dict]:
     """The dataset, its similarity spec and the output header's common
-    fields.  Similarity rules: the config file first, CLI flags override."""
+    fields.  Similarity rules: the config file first, CLI flags override;
+    the prediction column, like the response, takes none."""
     schema = {}
     for item in args.schema or []:
         name, sep, kind = item.partition("=")
@@ -189,6 +191,9 @@ def _setup(args) -> tuple[Dataset, SimilaritySpec, dict]:
         if not sep:
             raise ConfigError(f"bad similarity override {item!r}; expected COL=RULE")
         overrides[name] = parse_rule(rule)
+    _, prediction = parse_response_mode(args.response_mode, args.response)
+    if prediction in overrides:
+        raise ConfigError(f"column {prediction!r} is the prediction column; it takes no similarity rule")
     spec = make_similarity_spec(ds, default=default, overrides=overrides)
     config = {
         "schema": ATTRIBUTION_SCHEMA,
@@ -526,10 +531,6 @@ def _add_dataset_options(parser):
         "--similarity", action="append", metavar="COL=RULE",
         help="per-column rule: equality | relative:D | absolute:W; repeatable",
     )
-    parser.add_argument(
-        "--threads", type=_count, default=os.cpu_count() or 1,
-        help="target-level parallelism (default: all cores)",
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -587,6 +588,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--describe", action="store_true", help="print a dataset summary to stderr")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_similarity)
+
+    for name in ("attribute", "evaluate", "compare", "diagnose"):  # the commands that map targets
+        sub.choices[name].add_argument(
+            "--threads", type=_count, default=os.cpu_count() or 1,
+            help="target-level parallelism (default: all cores)",
+        )
     return parser
 
 

@@ -126,7 +126,7 @@ _RESIDUALS = {
 }
 
 
-def _parse_response_mode(mode: str, response_column: str) -> tuple[Optional[Callable], Optional[str]]:
+def parse_response_mode(mode: str, response_column: str) -> tuple[Optional[Callable], Optional[str]]:
     """The residual function and the prediction column of a token ``raw``
     (None and None), ``residual:COL``, ``abs-residual:COL`` or
     ``squared-residual:COL``."""
@@ -354,7 +354,7 @@ def load_dataset(
     path (see the module docstring); every other file, and every file the
     fast path declines, by the reference loader, with the same result.
     """
-    residual, pred_column = _parse_response_mode(response_mode, response_column)
+    residual, pred_column = parse_response_mode(response_mode, response_column)
     overrides = dict(schema_overrides or {})
     for name, kind in overrides.items():
         if kind not in ("numeric", "categorical"):

@@ -106,7 +106,6 @@ class CornerReport:
     fraction: float
     bound: float
     corners_inside: int
-    d: int
 
 
 def corner_convergence(profile: SimilarityProfile) -> CornerReport:
@@ -125,7 +124,7 @@ def corner_convergence(profile: SimilarityProfile) -> CornerReport:
     nontarget[t] = False
     m = int(nontarget.sum())
     if m == 0:
-        return CornerReport(fraction=0.0, bound=0.0, corners_inside=0, d=d)
+        return CornerReport(fraction=0.0, bound=0.0, corners_inside=0)
     # table[u] counts non-target rows similar on all of u, i.e. with u disjoint from J_i.
     (table,) = superset_tables(profile, nontarget.astype(float))
     inside = int(np.count_nonzero(table))
@@ -133,7 +132,7 @@ def corner_convergence(profile: SimilarityProfile) -> CornerReport:
     min_count = int(counts[nontarget].min())
     bound = m * 2.0 ** (-min_count)
     assert fraction <= bound
-    return CornerReport(fraction=fraction, bound=bound, corners_inside=inside, d=d)
+    return CornerReport(fraction=fraction, bound=bound, corners_inside=inside)
 
 
 def second_order_weights(ji, jip, d: int) -> tuple[np.ndarray, np.ndarray]:

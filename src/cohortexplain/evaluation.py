@@ -11,11 +11,9 @@ response times variables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
 
 import numpy as np
 
-from .shapley import Attribution
 from .similarity import refinement_path
 from .values import CohortValue
 
@@ -27,7 +25,6 @@ class AbcReport:
 
     insertion_curve: np.ndarray
     deletion_curve: np.ndarray
-    target_index: Optional[int] = None
     abc_insertion: float = field(init=False)
     abc_deletion: float = field(init=False)
 
@@ -37,10 +34,10 @@ class AbcReport:
         object.__setattr__(self, "abc_deletion", abc_del)
 
 
-def variable_ordering(values: Union[Attribution, np.ndarray]) -> np.ndarray:
+def variable_ordering(values: np.ndarray) -> np.ndarray:
     """Feature indices sorted by attribution value, descending; ties broken
     by ascending index so cross-method comparisons are deterministic."""
-    vals = np.asarray(getattr(values, "values", values), dtype=float)
+    vals = np.asarray(values, dtype=float)
     return np.lexsort((np.arange(len(vals)), -vals))
 
 
@@ -80,7 +77,7 @@ def abc_scores(insertion_curve, deletion_curve) -> tuple[float, float]:
     return abc_ins, abc_del
 
 
-def abc_report(cv: CohortValue, values: Union[Attribution, np.ndarray]) -> AbcReport:
-    """Curves and both ABC scores for one attribution, taken along its
-    ``variable_ordering``."""
-    return AbcReport(*conditional_curves(cv, variable_ordering(values)), cv.target_index)
+def abc_report(cv: CohortValue, values: np.ndarray) -> AbcReport:
+    """Curves and both ABC scores for one attribution's values, taken along
+    their ``variable_ordering``."""
+    return AbcReport(*conditional_curves(cv, variable_ordering(values)))

@@ -89,4 +89,4 @@ def igcs_attribution(sv: SoftValue, steps: int = DEFAULT_STEPS) -> Attribution:
     b = (lowered * (C / B)[:, np.newaxis]).mean(axis=0)
     w = sv.responses * a[sv._bucket] + b[sv._bucket]
     psi = w @ sv.profile.dissimilar
-    return Attribution(psi, sv.grand_mean, sv.refined_mean, sv.profile.target_index, meta={"steps": R})
+    return Attribution(psi, sv.grand_mean, sv.refined_mean, meta={"steps": R})

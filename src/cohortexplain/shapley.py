@@ -39,9 +39,6 @@ class ValueFunction(ABC):
     subset.
     """
 
-    #: set by concrete value functions tied to one observation
-    target_index: Optional[int] = None
-
     def __init__(self, d: int):
         if d < 1:
             raise ValueError(f"dimension must be >= 1, got {d}")
@@ -103,7 +100,6 @@ class Attribution:
     values: np.ndarray
     nu_empty: float
     nu_full: float
-    target_index: Optional[int] = None
     stderr: Optional[np.ndarray] = None
     meta: dict = field(default_factory=dict)
     efficiency_gap: float = field(init=False)
@@ -184,7 +180,7 @@ def exact_shapley(nu: ValueFunction) -> Attribution:
         A[:h] += A[h:]
         B[:h] += B[h:]
         A, B = A[:h], B[:h]
-    return Attribution(phi, nu_empty, nu_full, nu.target_index, meta={"evaluations": 1 << d})
+    return Attribution(phi, nu_empty, nu_full, meta={"evaluations": 1 << d})
 
 
 def mc_shapley(
@@ -217,5 +213,5 @@ def mc_shapley(
     else:
         stderr = np.zeros(d)
     label = seed if isinstance(seed, int) else None
-    return Attribution(values, nu.evaluate(()), nu.evaluate(tuple(range(d))), nu.target_index, stderr,
+    return Attribution(values, nu.evaluate(()), nu.evaluate(tuple(range(d))), stderr,
                        {"samples": samples, "seed": label})

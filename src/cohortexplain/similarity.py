@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -137,7 +136,7 @@ def cohort(profile: SimilarityProfile, u) -> np.ndarray:
     return np.flatnonzero(~profile.dissimilar[:, u].any(axis=1))
 
 
-def refinement_path(profile: SimilarityProfile, ordering, responses=None, *, with_reversed: bool = False):
+def refinement_path(profile: SimilarityProfile, ordering, responses, *, with_reversed: bool = False):
     """Cohort size and response sum after each prefix of an ordering.
 
     Entry k of both arrays describes the cohort similar to the target on the
@@ -148,7 +147,7 @@ def refinement_path(profile: SimilarityProfile, ordering, responses=None, *, wit
     J_i (len(ordering) when none of them is ranked): one gather of the ranks
     over the profile's ``sparse_rows`` and one ``np.minimum.reduceat``,
     O(nnz(D) + n + d) per ordering.  Reverse cumulative counts over the
-    exits give every prefix at once.  The sums are None without responses.
+    exits give every prefix at once.
 
     ``with_reversed`` (for an ordering of all d features) returns a pair of
     (sizes, sums): this path and that of the reversed ordering, from the
@@ -173,11 +172,9 @@ def refinement_path(profile: SimilarityProfile, ordering, responses=None, *, wit
     return path, _prefix_totals(exits, k, responses)
 
 
-def _prefix_totals(exits, k: int, responses) -> tuple[np.ndarray, Optional[np.ndarray]]:
+def _prefix_totals(exits, k: int, responses) -> tuple[np.ndarray, np.ndarray]:
     """Cohort sizes and response sums before each of the k + 1 exit positions."""
     sizes = np.bincount(exits, minlength=k + 1)[::-1].cumsum()[::-1]
-    if responses is None:
-        return sizes, None
     sums = np.bincount(exits, weights=responses, minlength=k + 1)[::-1].cumsum()[::-1]
     return sizes, sums
 

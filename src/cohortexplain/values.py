@@ -36,7 +36,6 @@ class CohortValue(ValueFunction):
             raise ValueError(f"responses must have shape ({profile.n},), got {responses.shape}")
         self.profile = profile
         self.responses = responses
-        self.target_index = profile.target_index
 
     def evaluate(self, u: Sequence[int]) -> float:
         return float(self.responses[cohort(self.profile, u)].mean())
@@ -62,7 +61,6 @@ class UniquenessValue(ValueFunction):
     def __init__(self, profile: SimilarityProfile):
         super().__init__(profile.d)
         self.profile = profile
-        self.target_index = profile.target_index
 
     def evaluate(self, u: Sequence[int]) -> float:
         return -math.log2(len(cohort(self.profile, u)))
@@ -70,12 +68,6 @@ class UniquenessValue(ValueFunction):
     def all_values(self) -> np.ndarray:
         (counts,) = superset_tables(self.profile, np.ones(self.profile.n))
         return -np.log2(counts)
-
-    def permutation_increments(self, perm: np.ndarray) -> np.ndarray:
-        sizes, _ = refinement_path(self.profile, perm)
-        inc = np.empty(self.d)
-        inc[perm] = np.diff(-np.log2(sizes))
-        return inc
 
 
 class GkwValue(ValueFunction):
@@ -85,7 +77,7 @@ class GkwValue(ValueFunction):
     and each observation restricted to the conditioning subset:
     D_u^2 = (x_iu - x_tu)^T Sigma_uu^-1 (x_iu - x_tu) / |u| and
     w_i = exp(-D_u^2 / (2 sigma^2)).  Features are standardized internally
-    and the covariance gets a ridge of ``ridge * trace(Sigma)/d`` before any
+    and the covariance gets a ridge of ``1e-6 * trace(Sigma)/d`` before any
     submatrix is factorized, so collinear data stays invertible.  nu(empty)
     is the grand mean (all weights 1), matching the cohort-mean baseline.
 
@@ -93,15 +85,9 @@ class GkwValue(ValueFunction):
     Cholesky row at a time (``_extend``): with Sigma_uu = L L^T, the path
     keeps the rows of [M | W] = L^-1 [Sigma[u, :] | (x_u - x_tu)^T], and
     the quadratic form grows by the square of each new row of W.
-
-    With ``ridge=0`` on a rank-deficient covariance (at most d distinct
-    rows) a pivot that is 0 in exact arithmetic comes out as rounding noise
-    of either sign, so whether a subset raises ``SingularCovariance`` or
-    gets finite, noise-driven weights is decided by rounding.  The CLI
-    always passes the default ridge.
     """
 
-    def __init__(self, ds: Dataset, target_index: int, sigma: float = DEFAULT_SIGMA, ridge: float = 1e-6):
+    def __init__(self, ds: Dataset, target_index: int, sigma: float = DEFAULT_SIGMA):
         super().__init__(ds.d)
         if ds.categorical.any():
             raise CategoricalFeatureUnsupported(
@@ -117,8 +103,6 @@ class GkwValue(ValueFunction):
             self._two_sigma_sq = math.inf
         if self._two_sigma_sq == 0:
             raise ConfigError(f"sigma {sigma} is too small: 2 * sigma**2 underflows to 0")
-        if ridge < 0:
-            raise ConfigError(f"ridge must be >= 0, got {ridge}")
         if ds.n < 2:
             raise SingularCovariance("sample covariance needs at least 2 rows")
         X = ds.features
@@ -127,8 +111,7 @@ class GkwValue(ValueFunction):
         scale = np.where(std > 0, std, 1.0)
         self._X = (X - mean) / scale
         cov = np.atleast_2d(np.cov(self._X, rowvar=False, ddof=1))
-        if ridge > 0:
-            cov = cov + (ridge * np.trace(cov) / ds.d) * np.eye(ds.d)
+        cov += (1e-6 * np.trace(cov) / ds.d) * np.eye(ds.d)
         self._cov = cov
         # row j: Sigma[j, :] then x_ij - x_tj over all rows i
         self._rows = np.hstack([cov, (self._X - self._X[target_index]).T])

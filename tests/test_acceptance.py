@@ -308,7 +308,7 @@ def test_criterion_08_igcs_beats_equal_budget_mc(sparse_benchmark):
         start = time.perf_counter()
         attr = igcs_attribution(SoftValue(profile, ds.responses), 50)
         igcs_seconds.append(time.perf_counter() - start)
-        report = abc_report(cv, attr)
+        report = abc_report(cv, attr.values)
         ig_scores.append((report.abc_insertion, report.abc_deletion))
         start = time.perf_counter()
         mc_shapley(cv, 3, seed=rng_from(999, t))
@@ -325,7 +325,7 @@ def test_criterion_08_igcs_beats_equal_budget_mc(sparse_benchmark):
             start = time.perf_counter()
             attr = mc_shapley(cv, m, seed=rng_from(7, t, m))
             mc_seconds[m].append(time.perf_counter() - start)
-            report = abc_report(cv, attr)
+            report = abc_report(cv, attr.values)
             mc_scores[m].append((report.abc_insertion, report.abc_deletion))
 
     ig_arr = np.asarray(ig_scores)

@@ -1,14 +1,19 @@
+import argparse
 import csv
 import inspect
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cohortexplain import ConfigError, cli
+from cohortexplain import Attribution, ConfigError, cli, load_dataset, make_similarity_spec
 from cohortexplain.cli import main
 
 D3_CSV = "x1,x2,y\n0,0,1\n0,1,2\n1,1,3\n"
@@ -200,6 +205,7 @@ def test_defaults_are_the_library_defaults():
     "attribute --method igcs --steps abc --out OUT",
     "compare --methods igcs --steps 5,x --out OUT",
     "attribute --method igcs --threads 0 --out OUT",
+    "similarity --target 0 --threads 2 --out OUT",  # only the commands that map targets take --threads
     "attribute --method cs-exact --cap 0 --out OUT",  # --cap is no option of any command
     "compare --methods cs-exact --cap -1 --out OUT",
     "diagnose --samples 0 --out OUT",
@@ -500,6 +506,100 @@ def test_similarity_rule_for_the_response_column_is_refused(tmp_path, capsys, ro
     (line,) = capsys.readouterr().err.splitlines()
     assert json.loads(line) == {
         "error": "ConfigError", "message": "column 'y' is the response column; it takes no similarity rule"}
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_similarity_rule_for_the_prediction_column_is_refused(tmp_path, capsys, route):
+    """A rule for the prediction column of a residual mode exits 2 naming
+    it as the prediction column, not as a column that the header lacks."""
+    data = tmp_path / "pred.csv"
+    data.write_text("x1,p,y\n0,0.5,1\n1,1.5,2\n1,2.5,3\n", encoding="utf-8")
+    config = tmp_path / "similarity.cfg"
+    config.write_text("similarity.p = equality\n", encoding="utf-8")
+    option = ["--similarity", "p=equality"] if route == "flag" else ["--config", str(config)]
+    assert run("similarity", "--data", str(data), "--response", "y", "--response-mode", "residual:p", *option,
+               "--target", "0", "--out", str(tmp_path / "s.csv")) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {
+        "error": "ConfigError", "message": "column 'p' is the prediction column; it takes no similarity rule"}
+
+
+MINIMAL_ARGV = {
+    "attribute": ["--method", "cs-exact", "--targets", "0"],
+    "evaluate": ["--attributions", "ATTRIBUTIONS"],
+    "compare": ["--methods", "igcs", "--targets", "0"],
+    "diagnose": ["--targets", "0", "--samples", "10"],
+    "similarity": ["--target", "0"],
+}
+
+
+@pytest.mark.parametrize("command", MINIMAL_ARGV)
+def test_every_command_reads_every_option_it_defines(tmp_path, command):
+    """Running a command reads every attribute of its parsed namespace, so
+    no option is accepted and then ignored."""
+    assert {name[len("_cmd_"):] for name in vars(cli) if name.startswith("_cmd_")} == set(MINIMAL_ARGV)
+    data = write_d3(tmp_path)
+    attributions = tmp_path / "a.jsonl"
+    assert run("attribute", *d3_args(data), "--method", "igcs", "--targets", "0", "--out", str(attributions)) == 0
+    argv = [str(attributions) if a == "ATTRIBUTIONS" else a for a in MINIMAL_ARGV[command]]
+    parsed = cli._build_parser().parse_args([command, *d3_args(data), *argv, "--out", str(tmp_path / "out")])
+    reads = set()
+
+    class Recorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    args = Recorder(**vars(parsed))
+    assert args.func(args) == 0
+    assert set(vars(parsed)) - reads == set()
+
+
+#: column names: "x10" sorts before "x2", and non-ASCII ones, one outside the BMP
+RECORD_NAMES = ["x2", "x10", "x1", "x02", "Z", "a", "\u00e9", "\u00fc1", "\u03b1", "\u540d\u524d", "\U0001f600"]
+FINITE = st.floats(min_value=-1e300, max_value=1e300)
+
+
+@st.composite
+def attribution_tables(draw):
+    """Column names in a drawn order, then per target the values, nu_empty
+    and nu_full of one attribution."""
+    order = draw(st.permutations(RECORD_NAMES))
+    names = order[: draw(st.integers(1, len(order)))]
+    n = draw(st.integers(1, 3))
+    attrs = [Attribution(np.array(draw(st.lists(FINITE, min_size=len(names), max_size=len(names)))),
+                         draw(FINITE), draw(FINITE)) for _ in range(n)]
+    return names, attrs
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(attribution_tables())
+@example((["x2", "x10", "\u00e9"], [Attribution(np.array([-0.0, 5e-324, 0.1]), 1.0, -2.5)]))
+def test_attribution_records_round_trip_bit_for_bit(case):
+    """``attribute`` writes each record as ``json.dumps(record,
+    sort_keys=True)`` and ``evaluate``'s reader gets every value back with
+    the same bits, in column order, whatever the names sort to."""
+    names, attrs = case
+    with tempfile.TemporaryDirectory() as tmp:
+        data = os.path.join(tmp, "data.csv")
+        rows = [",".join(["0"] * len(names) + [str(t)]) for t in range(len(attrs))]
+        with open(data, "w", encoding="utf-8") as fh:
+            fh.write("\n".join([",".join([*names, "y"]), *rows]) + "\n")
+        out = os.path.join(tmp, "a.jsonl")
+        with mock.patch.object(cli, "exact_shapley", lambda nu: attrs[nu.profile.target_index]):
+            assert run("attribute", "--data", data, "--response", "y", "--method", "cs-exact",
+                       "--threads", "1", "--out", out) == 0
+        ds = load_dataset(data, "y")
+        spec = make_similarity_spec(ds)
+        with open(out, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()[1:]
+        assert lines == [json.dumps(cli._record(cli.TargetContext(ds, spec, t), "cs-exact", {}, attr), sort_keys=True)
+                         for t, attr in enumerate(attrs)]
+        _, records = cli._read_attribution_file(out)
+        for (where, record), (t, attr) in zip(records, enumerate(attrs)):
+            method, target, values = cli._record_values(record, ds, where)
+            assert (method, target) == ("cs-exact", t)
+            assert values.tobytes() == attr.values.tobytes()
 
 
 def _run_python(code: str, *args: str) -> subprocess.CompletedProcess:

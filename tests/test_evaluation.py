@@ -120,17 +120,16 @@ def test_abc_report_bundles_everything(d3_cohort_value):
     report = abc_report(d3_cohort_value, np.array([-0.25, -0.75]))
     assert report.abc_insertion == 0.0
     assert report.abc_deletion == 0.5
-    assert report.target_index == 0
 
 
 def test_derived_fields_are_computed_not_given():
     """``Attribution.efficiency_gap`` and ``AbcReport``'s scores follow from
     the other fields by formula; passing them is a TypeError."""
-    attr = Attribution(np.array([0.25, 0.5]), np.float64(1.0), 3, target_index=0)
+    attr = Attribution(np.array([0.25, 0.5]), np.float64(1.0), 3)
     assert attr.nu_full == 3.0 and type(attr.nu_full) is float and type(attr.nu_empty) is float
     assert attr.efficiency_gap == (3.0 - 1.0) - 0.75
     ins, dele = np.array([2.0, 1.5, 1.0]), np.array([1.0, 1.0, 2.0])
-    report = AbcReport(ins, dele, 0)
+    report = AbcReport(ins, dele)
     assert (report.abc_insertion, report.abc_deletion) == abc_scores(ins, dele) == (0.0, 0.5)
     with pytest.raises(TypeError):
         Attribution([0.0], 0.0, 0.0, efficiency_gap=0.0)

@@ -158,7 +158,6 @@ def test_dimension_cap():
 def test_d3_cohort_exact(d3_cohort_value):
     attr = exact_shapley(d3_cohort_value)
     np.testing.assert_allclose(attr.values, [-0.25, -0.75], atol=1e-15)
-    assert attr.target_index == 0
 
 
 def test_efficiency_invariant_random_vfs():

@@ -20,7 +20,6 @@ from cohortexplain import (
     RelativeRange,
     SimilaritySpec,
     TargetOutOfRange,
-    UniquenessValue,
     ValueFunction,
     build_profile,
     cohort,
@@ -370,7 +369,7 @@ def test_target_out_of_range(d3_dataset, d3_spec):
 def check_refinement_against_oracles(profile, responses, ordering):
     """Every consumer of the refinement kernel against a from-scratch oracle:
     both ABC curves against the brute-force cohort mean on every prefix and
-    suffix, and both fast permutation increments against the generic
+    suffix, and the fast permutation increments against the generic
     one-evaluation-per-prefix loop."""
     ordering = np.asarray(ordering)
     S = profile.indicators
@@ -385,12 +384,11 @@ def check_refinement_against_oracles(profile, responses, ordering):
         deletion, [cohort_mean_brute(S, responses, ordering[k:]) for k in range(d + 1)],
         rtol=0, atol=1e-12,
     )
-    for vf in (cv, UniquenessValue(profile)):
-        np.testing.assert_allclose(
-            vf.permutation_increments(ordering),
-            ValueFunction.permutation_increments(vf, ordering),
-            rtol=0, atol=1e-12,
-        )
+    np.testing.assert_allclose(
+        cv.permutation_increments(ordering),
+        ValueFunction.permutation_increments(cv, ordering),
+        rtol=0, atol=1e-12,
+    )
 
 
 def test_refinement_matches_oracles_d67():
@@ -465,19 +463,15 @@ def test_refinement_path_matches_dense_oracle_bitwise(case):
     same order: sizes and sums agree to the last bit."""
     profile, responses, ordering = case
     full = len(ordering) == profile.d
-    for weights in (None, responses):
-        paths = [(refinement_path(profile, ordering, weights), ordering)]
-        if full:
-            # the deletion exits come from the same gather as the first exits
-            forward, backward = refinement_path(profile, ordering, weights, with_reversed=True)
-            paths += [(forward, ordering), (backward, ordering[::-1])]
-        for (sizes, sums), order in paths:
-            want_sizes, want_sums = refinement_path_dense(profile, order, weights)
-            assert sizes.dtype == want_sizes.dtype and sizes.tobytes() == want_sizes.tobytes()
-            if weights is None:
-                assert sums is None and want_sums is None
-            else:
-                assert sums.dtype == want_sums.dtype and sums.tobytes() == want_sums.tobytes()
+    paths = [(refinement_path(profile, ordering, responses), ordering)]
+    if full:
+        # the deletion exits come from the same gather as the first exits
+        forward, backward = refinement_path(profile, ordering, responses, with_reversed=True)
+        paths += [(forward, ordering), (backward, ordering[::-1])]
+    for (sizes, sums), order in paths:
+        want_sizes, want_sums = refinement_path_dense(profile, order, responses)
+        assert sizes.dtype == want_sizes.dtype and sizes.tobytes() == want_sizes.tobytes()
+        assert sums.dtype == want_sums.dtype and sums.tobytes() == want_sums.tobytes()
     if full:
         cv = CohortValue(profile, responses)
         insertion, deletion = conditional_curves(cv, ordering)

@@ -98,11 +98,6 @@ def test_uniqueness_sum_identity():
         assert abs(attr.values.sum() - math.log2(profile.n / full_size)) < 1e-10
         table = uv.all_values()
         assert np.all(table <= 1e-15)
-        np.testing.assert_allclose(
-            uv.permutation_increments(np.arange(5)),
-            super(UniquenessValue, uv).permutation_increments(np.arange(5)),
-            atol=1e-12,
-        )
 
 
 def test_gkw_empty_set_and_target_weight():
@@ -117,13 +112,15 @@ def test_gkw_empty_set_and_target_weight():
 
 
 def test_gkw_univariate_example():
-    # x = [0,1,2], f = [0,1,2], t = 0, sigma = 0.1: sample variance 1,
-    # weights [1, e^-50, e^-200], nu ~ e^-50 / (1 + e^-50 + e^-200)
+    # x = [0,1,2], f = [0,1,2], t = 0, sigma = 0.1: sample variance 1, ridged
+    # to v = 1 + 1e-6, weights [1, e^(-50/v), e^(-200/v)],
+    # nu ~ e^(-50/v) / (1 + e^(-50/v) + e^(-200/v))
     ds = make_dataset([[0.0], [1.0], [2.0]], [0.0, 1.0, 2.0])
-    gv = GkwValue(ds, target_index=0, sigma=0.1, ridge=0.0)
+    gv = GkwValue(ds, target_index=0, sigma=0.1)
+    v = 1.0 + 1e-6
     w = gv.weights((0,))
-    np.testing.assert_allclose(w, [1.0, math.exp(-50), math.exp(-200)], rtol=1e-12)
-    expected = (math.exp(-50) + 2 * math.exp(-200)) / (1 + math.exp(-50) + math.exp(-200))
+    np.testing.assert_allclose(w, [1.0, math.exp(-50 / v), math.exp(-200 / v)], rtol=1e-12)
+    expected = (math.exp(-50 / v) + 2 * math.exp(-200 / v)) / (1 + math.exp(-50 / v) + math.exp(-200 / v))
     assert gv.evaluate((0,)) == pytest.approx(expected, rel=1e-12)
     assert gv.evaluate((0,)) == pytest.approx(1.93e-22, rel=1e-2)
 
@@ -140,14 +137,16 @@ def test_gkw_sigma_at_the_float_limits():
     np.testing.assert_array_equal(GkwValue(ds, target_index=0, sigma=1e200).weights((0,)), [1.0, 1.0, 1.0])
 
 
-def test_gkw_affine_invariance_without_ridge():
+def test_gkw_affine_invariance():
+    """Standardizing first makes Sigma, and so its ridge, the same for an
+    affinely rescaled column."""
     rng = np.random.default_rng(6)
     X = rng.normal(size=(30, 4))
     f = rng.normal(size=30)
-    base = GkwValue(make_dataset(X, f), target_index=2, ridge=0.0)
+    base = GkwValue(make_dataset(X, f), target_index=2)
     X2 = X.copy()
     X2[:, 1] = 7.5 * X2[:, 1] - 3.0
-    scaled = GkwValue(make_dataset(X2, f), target_index=2, ridge=0.0)
+    scaled = GkwValue(make_dataset(X2, f), target_index=2)
     for u in subsets(4):
         if u:
             assert base.evaluate(u) == pytest.approx(scaled.evaluate(u), abs=1e-8)
@@ -172,7 +171,7 @@ def test_gkw_collinear_needs_ridge():
     X = rng.normal(size=(20, 3))
     X[:, 2] = X[:, 0] + X[:, 1]  # exactly collinear
     ds = make_dataset(X, rng.normal(size=20))
-    gv = GkwValue(ds, target_index=0)  # default ridge keeps it solvable
+    gv = GkwValue(ds, target_index=0)  # the ridge keeps it solvable
     value = gv.evaluate((0, 1, 2))
     assert np.isfinite(value)
 
@@ -201,7 +200,8 @@ def cohort_profiles(draw):
 def test_lattice_matches_refinement_path(case):
     """exact_shapley reads the 2^d lattice (all_values); the average of the
     increments over all d! orders reads the refinement kernel
-    (permutation_increments)."""
+    (CohortValue.permutation_increments) or, for uniqueness, one
+    ``evaluate`` per prefix (the generic permutation_increments)."""
     profile, responses = case
     orders = np.array(list(itertools.permutations(range(profile.d))))
     for vf in (CohortValue(profile, responses), UniquenessValue(profile)):
@@ -214,7 +214,7 @@ def _lattice(d):
     return [tuple(j for j in range(d) if (mask >> j) & 1) for mask in range(1 << d)]
 
 
-def gkw_value(d, ridge, distinct, n, scales, seed, sigma, target):
+def gkw_value(d, distinct, n, scales, seed, sigma, target):
     """Seeded Gaussian rows: ``distinct`` base rows repeated up to n rows,
     shifted and scaled per column."""
     scales = np.asarray(scales)
@@ -223,25 +223,21 @@ def gkw_value(d, ridge, distinct, n, scales, seed, sigma, target):
     rows = rng.permutation(np.concatenate([np.arange(distinct), rng.integers(0, distinct, n - distinct)]))
     X = (base[rows] + rng.normal(size=d)) * scales
     ds = make_dataset(X, rng.normal(size=n))
-    return GkwValue(ds, target_index=target, sigma=sigma, ridge=ridge)
+    return GkwValue(ds, target_index=target, sigma=sigma)
 
 
 @st.composite
 def gkw_cases(draw):
-    """Seeded Gaussian rows with duplicates and per-column scales 1e-3..1e3.
-    Without a ridge, d + 2 distinct rows keep Sigma non-singular: on a
-    rank-deficient Sigma whether a pivot comes out > 0 is rounding noise,
-    for a fresh factor and for the walk alike."""
+    """Seeded Gaussian rows with duplicates and per-column scales 1e-3..1e3."""
     d = draw(st.integers(1, 7))
-    ridge = draw(st.sampled_from([0.0, 1e-6]))
-    distinct = draw(st.integers(d + 2 if ridge == 0 else 2, 40))
+    distinct = draw(st.integers(2, 40))
     n = draw(st.integers(distinct, 40))
     scales = draw(st.lists(st.sampled_from([1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3]), min_size=d, max_size=d))
     seed = draw(st.integers(0, 2**32 - 1))
     sigma = draw(st.sampled_from([0.1, 1.0]))
     target = draw(st.integers(0, n - 1))
-    note(f"gkw_value{(d, ridge, distinct, n, scales, seed, sigma, target)}")
-    return gkw_value(d, ridge, distinct, n, scales, seed, sigma, target)
+    note(f"gkw_value{(d, distinct, n, scales, seed, sigma, target)}")
+    return gkw_value(d, distinct, n, scales, seed, sigma, target)
 
 
 def cholesky_forward_error(gv, u) -> float:
@@ -258,7 +254,7 @@ def cholesky_forward_error(gv, u) -> float:
 @given(gkw_cases())
 # ridged, rank-deficient Sigma (4 rows, d=7): kappa(Sigma_{0,4,5}) = 1.1e6, and
 # the walk and a fresh factor round 2.4e-10 apart in relative terms there
-@example(gkw_value(7, 1e-06, 4, 4, [0.001] * 7, 4, 1.0, 0))
+@example(gkw_value(7, 4, 4, [0.001] * 7, 4, 1.0, 0))
 def test_gkw_walk_matches_cholesky_oracle(gv):
     """The depth-first lattice, weights(u) and evaluate(u) against a fresh
     scipy factor and solve per subset, to the forward-error bound tol(u) of
@@ -277,14 +273,15 @@ def test_gkw_walk_matches_cholesky_oracle(gv):
         assert gv.evaluate(u) == table[mask]  # one walk behind both
 
 
-def test_gkw_constant_column_without_ridge_is_singular():
+def test_gkw_constant_table_is_singular():
+    """With every column constant, Sigma is 0, and so is its ridge
+    1e-6 * trace(Sigma) / d: every non-empty subset is singular."""
     rng = np.random.default_rng(10)
-    X = rng.normal(size=(12, 3))
-    X[:, 1] = 3.0  # exactly representable mean, so the standardized column is exactly 0
-    gv = GkwValue(make_dataset(X, rng.normal(size=12)), target_index=0, ridge=0.0)
+    X = np.full((12, 3), 3.0)  # exactly representable mean, so the standardized columns are exactly 0
+    gv = GkwValue(make_dataset(X, rng.normal(size=12)), target_index=0)
     with pytest.raises(SingularCovariance):
         gkw_weights_cholesky(gv, (1,))
-    assert np.isfinite(gv.evaluate((0, 2)))
+    assert gv.evaluate(()) == gv.responses.mean()
     for call in (lambda: gv.weights((1,)), lambda: gv.evaluate((0, 1, 2)), lambda: exact_shapley(gv)):
         with pytest.raises(SingularCovariance):
             call()
