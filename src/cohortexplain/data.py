@@ -261,14 +261,15 @@ def _parse_table(data: list[list[str]], width: int) -> np.ndarray:
 
 
 def read_lines(path, error: type = DataError, raw: Optional[bytes] = None) -> list[str]:
-    """The lines, ends kept, of a UTF-8 file (or of its bytes ``raw``), split as
-    ``open(path, newline="")`` splits them and decoded once; a bad byte raises
-    ``error`` with its offset in the file (from a second decode, of the whole)."""
+    """The lines, ends kept, of a UTF-8 file (or of its bytes ``raw``) without
+    one leading byte-order mark, split as ``open(path, newline="")`` splits
+    them and decoded once; a bad byte raises ``error`` with its offset in the
+    file (from a second decode, of the whole)."""
     if raw is None:
         with open(path, "rb") as fh:
             raw = fh.read()
     try:
-        return list(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""))
+        return list(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline=""))
     except UnicodeDecodeError:
         try:
             raw.decode("utf-8")
@@ -309,7 +310,8 @@ def _longest_line(body: bytes) -> int:
 
 def _read_plain(raw: bytes) -> Optional[tuple[list[str], np.ndarray]]:
     """The header and the table of a plain numeric CSV, or None when the file
-    is not one: a header without '"' or '\\r', in UTF-8, of distinct names no
+    is not one: a header without '"' or '\\r', in UTF-8 (one leading byte-order
+    mark dropped, as ``read_lines`` drops it), of distinct names no
     longer than ``csv.field_size_limit()``; a non-empty body of ``_PLAIN_BYTES``
     with no blank line and no line over that limit; and a table of finite
     reals as wide as the header."""
@@ -321,7 +323,7 @@ def _read_plain(raw: bytes) -> Optional[tuple[list[str], np.ndarray]]:
         return None
     del body  # loadtxt reads the file past its header line: one copy of the bytes, not two
     try:
-        header = head.decode("utf-8").split(",")
+        header = head.decode("utf-8-sig").split(",")
         table = np.loadtxt(io.BytesIO(raw), delimiter=",", comments=None, skiprows=1, ndmin=2, dtype=float)
     except ValueError:  # UnicodeDecodeError included
         return None

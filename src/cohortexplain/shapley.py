@@ -22,10 +22,11 @@ from .sampling import fisher_yates, rng_from
 
 #: Largest d for which any 2^d-entry subset table is built.
 LATTICE_DIMENSION_CAP = 30
-#: 2^d-entry float64 tables the exact engine budgets for.  Three and an
-#: eighth are live at its peak: the value table with the two superset tables
-#: it is made from, then the centred table with the fold's A and B and the
-#: one-byte subset sizes.  A value function that keeps the table it returns
+#: 2^d-entry float64 tables the exact engine budgets for.  Two and an
+#: eighth are live at its peak (2.13-2.18 by tracemalloc at d=20): the two
+#: superset tables a cohort value is made from, then the value table with its
+#: centred copy, then the centred table, which B is written over, with A and
+#: A's and B's weight rows.  A value function that keeps the table it returns
 #: adds one; the rest is headroom for the memory others hold.
 EXACT_TABLES = 6
 
@@ -116,17 +117,22 @@ def physical_memory_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def _binary_size(size: int) -> str:
+    """A byte count in the largest binary unit it reaches, to three significant digits."""
+    power = min(6, max(0, (int(size).bit_length() - 1) // 10))
+    x = size / (1 << 10 * power)
+    digits = max(0, 2 - math.floor(math.log10(x))) if x > 0 else 0
+    return f"{x:.{digits}f} {'B KiB MiB GiB TiB PiB EiB'.split()[power]}"
+
+
 def check_memory(what: str, need: int, of: str) -> None:
     """Refuse (``ComputationError``), before it is allocated, working memory
-    of ``need`` bytes, held in ``of``, that exceeds physical memory; both
-    sizes print in the larger's binary unit, to three significant digits."""
+    of ``need`` bytes, held in ``of``, that exceeds physical memory; each
+    size prints in its own binary unit, to three significant digits."""
     have = physical_memory_bytes()
     if need > have:
-        power = min(6, (int(need).bit_length() - 1) // 10)  # need is the larger
-        unit = "B KiB MiB GiB TiB PiB EiB".split()[power]
-        sizes = [size / (1 << 10 * power) for size in (need, have)]
-        need_s, have_s = (f"{x:.{max(0, 2 - math.floor(math.log10(x))) if x > 0 else 0}f} {unit}" for x in sizes)
-        raise ComputationError(f"{what} needs about {need_s} for {of}; physical memory is {have_s}")
+        raise ComputationError(
+            f"{what} needs about {_binary_size(need)} for {of}; physical memory is {_binary_size(have)}")
 
 
 def check_lattice(what: str, d: int, tables: int) -> None:
@@ -164,15 +170,21 @@ def exact_shapley(nu: ValueFunction) -> Attribution:
     nu_empty, nu_full = vals[0], vals[-1]
     c = vals - nu_empty  # a new table: the value function may own the one it returned
     del vals
-    sizes = np.bitwise_count(np.arange(1 << d, dtype=np.uint32))
-    # W(s) for s = 0..d-1; A's weight is indexed by |u| - 1 and B's by |u|, and the
-    # two zeros (A at the empty set, B at the full set) fall outside every sum
-    W = [1.0 / (d * math.comb(d - 1, s)) for s in range(d)]
-    A = np.array([0.0] + W)[sizes]
-    A *= c
-    B = np.array(W + [0.0])[sizes]
-    B *= c
-    del c, sizes
+    # W(s) for s = 0..d-1 between two zeros: A's weight at |u| is W_ext[|u|] and B's
+    # W_ext[|u| + 1], and the zeros (A at the empty set, B at the full set) fall
+    # outside every sum.  |u| is the popcount of u's top hi bits plus that of its
+    # low bits, so row k of T holds W_ext[k + popcount(low bits)] for every low
+    # part, and each 2^lo-entry row of the table reads its weights from T
+    W_ext = np.array([0.0] + [1.0 / (d * math.comb(d - 1, s)) for s in range(d)] + [0.0])
+    lo = max(d - 6, 0)
+    T = W_ext[np.arange(d - lo + 2)[:, None] + np.bitwise_count(np.arange(1 << lo))]
+    A = np.empty(1 << d)
+    for high, (row, A_row) in enumerate(zip(c.reshape(-1, 1 << lo), A.reshape(-1, 1 << lo))):
+        k = high.bit_count()
+        np.multiply(T[k], row, out=A_row)
+        np.multiply(T[k + 1], row, out=row)  # B is written over c, so two tables are live
+    B = c
+    del c
     phi = np.empty(d)
     for j in reversed(range(d)):
         h = 1 << j

@@ -42,7 +42,7 @@ class CohortValue(ValueFunction):
 
     def all_values(self) -> np.ndarray:
         counts, sums = superset_tables(self.profile, np.ones(self.profile.n), self.responses)
-        return sums / counts
+        return np.divide(sums, counts, out=sums)
 
     def permutation_increments(self, perm: np.ndarray) -> np.ndarray:
         sizes, sums = refinement_path(self.profile, perm, self.responses)
@@ -67,7 +67,7 @@ class UniquenessValue(ValueFunction):
 
     def all_values(self) -> np.ndarray:
         (counts,) = superset_tables(self.profile, np.ones(self.profile.n))
-        return -np.log2(counts)
+        return np.negative(np.log2(counts, out=counts), out=counts)
 
 
 class GkwValue(ValueFunction):
@@ -135,23 +135,30 @@ class GkwValue(ValueFunction):
         w_new = rows[k, self.d :]
         np.add(q[k], w_new * w_new, out=q[k + 1])
 
+    def _step(self, path, u: tuple[int, ...]) -> np.ndarray:
+        """``_extend`` then u's kernel weights, inside ``np.errstate(over="ignore")``:
+        an overflowing exponent gives weight 0, its limit."""
+        self._extend(path, u)
+        d_sq = path[1][len(u)] / len(u)
+        return np.exp(-d_sq / self._two_sigma_sq)
+
     def weights(self, u: Sequence[int], path=None) -> np.ndarray:
         """Kernel weight of every observation for the subset u (target gets 1).
 
         ``path`` (from ``_path``) may already hold u without its largest
-        feature, as in the lattice walk; then u costs one step.
+        feature, as in the lattice walk; then u must be a sorted tuple, it
+        costs one step, and the caller holds ``np.errstate(over="ignore")``.
         """
+        if path is not None:
+            return self._step(path, u)
         u = tuple(feature_subset(u, self.d))
         if not u:
             return np.ones(len(self.responses))
-        if path is None:
-            path = self._path()
-            for k in range(1, len(u)):
-                self._extend(path, u[:k])
-        self._extend(path, u)
-        d_sq = path[1][len(u)] / len(u)
-        with np.errstate(over="ignore"):  # an overflowing exponent gives weight 0, its limit
-            return np.exp(-d_sq / self._two_sigma_sq)
+        path = self._path()
+        for k in range(1, len(u)):
+            self._extend(path, u[:k])
+        with np.errstate(over="ignore"):
+            return self._step(path, u)
 
     def evaluate(self, u: Sequence[int]) -> float:
         u = tuple(u)
@@ -168,7 +175,8 @@ class GkwValue(ValueFunction):
         out = np.empty(1 << d)
         out[0] = self.responses.mean()
         path = self._path()
-        for mask, u in depth_first_subsets(d):
-            w = self.weights(u, path)
-            out[mask] = (w @ self.responses) / w.sum()
+        with np.errstate(over="ignore"):
+            for mask, u in depth_first_subsets(d):
+                w = self.weights(u, path)
+                out[mask] = (w @ self.responses) / w.sum()
         return out

@@ -227,6 +227,31 @@ def exact_shapley_by_columns(vals, d):
     return phi
 
 
+def exact_shapley_gather(vals, d):
+    """(phi, nu_empty, nu_full) of a table indexed by bitmask by the fold of
+    ``shapley.exact_shapley`` with its weights gathered by subset size: the
+    centred table times W(|u| - 1) and W(|u|) looked up through a 2^d popcount
+    table, then the same top-down fold of A and B; the reference bytes of the
+    fold."""
+    vals = np.asarray(vals, dtype=float)
+    nu_empty, nu_full = vals[0], vals[-1]
+    c = vals - nu_empty
+    sizes = np.bitwise_count(np.arange(1 << d, dtype=np.uint32))
+    W = [1.0 / (d * math.comb(d - 1, s)) for s in range(d)]
+    A = np.array([0.0] + W)[sizes]
+    A *= c
+    B = np.array(W + [0.0])[sizes]
+    B *= c
+    phi = np.empty(d)
+    for j in reversed(range(d)):
+        h = 1 << j
+        phi[j] = A[h:].sum() - B[:h].sum()
+        A[:h] += A[h:]
+        B[:h] += B[h:]
+        A, B = A[:h], B[:h]
+    return phi, nu_empty, nu_full
+
+
 def exact_shapley_fractions(vals, d):
     """Exact Shapley values of a table indexed by bitmask, by the definition
     in rational arithmetic over the table's floats, so with no rounding at

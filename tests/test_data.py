@@ -410,6 +410,24 @@ def test_fast_path_guard_cases(tmp_path, content, kwargs, fast, want):
     assert_same_load(got, load_reference(path, **kwargs))
 
 
+@pytest.mark.parametrize("text, fast, names", [
+    ("\ufeffy,x1,x2\n1,2,3\n4,5,6\n", True, ("x1", "x2")),
+    ("\ufeffx1,y,x2\n1,2,3\n4,5,6\n", True, ("x1", "x2")),
+    ("\ufeffx1,y,x2\na,2,3\nb,5,6\n", False, ("x1", "x2")),
+    ("\ufeff\ufeffx1,y\n1,2\n", True, ("\ufeffx1",)),
+], ids=["before-response", "before-feature", "before-feature-not-plain", "second-mark-kept"])
+def test_one_leading_byte_order_mark_is_dropped(tmp_path, text, fast, names):
+    """Both loaders drop one leading UTF-8 byte-order mark, so it joins no
+    column name, and ``--response y`` finds the response it precedes."""
+    path = write(tmp_path / "d.csv", text)
+    got, took_fast = load_traced(path)
+    assert took_fast == fast
+    assert (got.column_names, got.response_name) == (names, "y")
+    assert_same_load(got, load_reference(path))
+    assert main(["attribute", "--data", str(path), "--response", "y", "--method", "igcs",
+                 "--targets", "0", "--out", str(tmp_path / "a.jsonl")]) == 0
+
+
 @pytest.mark.parametrize("content, line", [(LONG_HEADER, 1), (LONG_CELL, 2)], ids=["long-header", "long-cell"])
 def test_field_over_the_csv_limit_exits_3(tmp_path, capsys, content, line):
     path = tmp_path / "d.csv"

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from cohortexplain import (
     ComputationError,
     DimensionTooLarge,
+    GkwValue,
+    UniquenessValue,
     ValueFunction,
     exact_shapley,
     mc_shapley,
@@ -17,9 +19,11 @@ from cohortexplain import (
 from cohortexplain import shapley
 from cohortexplain.sampling import fisher_yates, rng_from
 
+from conftest import make_dataset, random_cohort_instance
 from oracles import (
     exact_shapley_by_columns,
     exact_shapley_fractions,
+    exact_shapley_gather,
     fisher_yates_scalar,
     make_table_vf,
     shapley_by_definition,
@@ -63,18 +67,17 @@ def test_exact_refuses_tables_larger_than_memory(monkeypatch):
     assert asked == [d]
 
 
-def test_memory_refusal_prints_both_sizes_in_one_unit(monkeypatch):
-    """3 MiB of memory against six 2^18 tables (12 MiB): both sizes in
-    MiB, to three significant digits, so the refusal shows by how much."""
-    monkeypatch.setattr(shapley, "physical_memory_bytes", lambda: 3 << 20)
-    with pytest.raises(ComputationError) as caught:
-        shapley.check_lattice("cs-exact", 18, 6)
-    sizes = re.fullmatch(r"cs-exact at d=18 needs about (\S+) MiB for its 2\^d tables; "
-                         r"physical memory is (\S+) MiB", str(caught.value))
-    assert sizes is not None
-    need, have = sizes.groups()
-    assert (need, have) == ("12.0", "3.00")
-    assert float(need) > float(have)
+def test_memory_refusal_prints_each_size_in_its_own_unit(monkeypatch):
+    """Six 2^d tables against too little memory: each size in its own binary
+    unit, to three significant digits, so the refusal shows by how much."""
+    for have, d, want in [(3 << 20, 18, ("12.0 MiB", "3.00 MiB")), (3 << 20, 30, ("48.0 GiB", "3.00 MiB")),
+                          (1000, 11, ("96.0 KiB", "1000 B"))]:
+        monkeypatch.setattr(shapley, "physical_memory_bytes", lambda: have)
+        with pytest.raises(ComputationError) as caught:
+            shapley.check_lattice("cs-exact", d, 6)
+        sizes = re.fullmatch(rf"cs-exact at d={d} needs about (\S+ [KMG]?i?B) for its 2\^d tables; "
+                             r"physical memory is (\S+ [KMG]?i?B)", str(caught.value))
+        assert sizes is not None and sizes.groups() == want
 
 
 def test_constant_vf_gives_zero():
@@ -142,6 +145,51 @@ def test_exact_fold_error_within_column_order_error(game):
     fold = _error(exact_shapley(make_table_vf(vals, d)).values, exact)
     columns = _error(exact_shapley_by_columns(vals, d), exact)
     assert fold <= 4 * columns + floor
+
+
+class _Table(ValueFunction):
+    """A value function over a fixed table, handed out as a fresh copy."""
+
+    def __init__(self, vals, d):
+        super().__init__(d)
+        self.vals = vals
+
+    def evaluate(self, u):
+        raise AssertionError("evaluated one subset at a time")
+
+    def all_values(self):
+        return self.vals.copy()
+
+
+def assert_fold_matches_gather(nu, vals):
+    attr = exact_shapley(nu)
+    phi, nu_empty, nu_full = exact_shapley_gather(vals, nu.d)
+    assert attr.values.tobytes() == phi.tobytes()
+    assert (attr.nu_empty, attr.nu_full) == (nu_empty, nu_full)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 6, 7, 10, 11, 14])
+def test_exact_fold_matches_gather_oracle(d):
+    """The weight rows written in place give the bytes of the fold whose
+    weights are gathered through a 2^d popcount table, below, at and above
+    the six high bits that index the rows, on tables centred far from 0 and
+    on tables of mixed signs and scales."""
+    rng = np.random.default_rng(d)
+    size = 1 << d
+    for vals in (1e6 + rng.normal(size=size), -3e9 + rng.normal(size=size) * 1e3,
+                 rng.normal(size=size) * rng.choice([-1e3, 1e-3, 1.0], size=size)):
+        assert_fold_matches_gather(_Table(vals, d), vals)
+
+
+@pytest.mark.parametrize("d", [3, 7, 11])
+def test_exact_shapley_of_value_functions_matches_gather_oracle(d):
+    """exact_shapley of the cohort mean, uniqueness and GKW values gives the
+    bytes of the gather fold over the same value table."""
+    rng = np.random.default_rng(100 + d)
+    profile, _, cv = random_cohort_instance(rng, n=60, d=d, density=0.8)
+    ds = make_dataset(rng.normal(size=(40, d)) * 5 + 100, rng.normal(size=40) + 1e4)
+    for nu in (cv, UniquenessValue(profile), GkwValue(ds, 3, sigma=0.7)):
+        assert_fold_matches_gather(nu, nu.all_values())
 
 
 def test_dimension_cap():
