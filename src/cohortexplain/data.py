@@ -22,6 +22,7 @@ the per-column arrays a ``SimilaritySpec`` derives from its rules.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 from dataclasses import dataclass, field
@@ -269,7 +270,7 @@ def read_lines(path, error: type = DataError, raw: Optional[bytes] = None) -> li
         with open(path, "rb") as fh:
             raw = fh.read()
     try:
-        return list(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline=""))
+        return list(io.TextIOWrapper(io.BytesIO(raw.removeprefix(codecs.BOM_UTF8)), encoding="utf-8", newline=""))
     except UnicodeDecodeError:
         try:
             raw.decode("utf-8")
@@ -323,7 +324,7 @@ def _read_plain(raw: bytes) -> Optional[tuple[list[str], np.ndarray]]:
         return None
     del body  # loadtxt reads the file past its header line: one copy of the bytes, not two
     try:
-        header = head.decode("utf-8-sig").split(",")
+        header = head.removeprefix(codecs.BOM_UTF8).decode("utf-8").split(",")
         table = np.loadtxt(io.BytesIO(raw), delimiter=",", comments=None, skiprows=1, ndmin=2, dtype=float)
     except ValueError:  # UnicodeDecodeError included
         return None

@@ -172,19 +172,17 @@ def exact_shapley(nu: ValueFunction) -> Attribution:
     del vals
     # W(s) for s = 0..d-1 between two zeros: A's weight at |u| is W_ext[|u|] and B's
     # W_ext[|u| + 1], and the zeros (A at the empty set, B at the full set) fall
-    # outside every sum.  |u| is the popcount of u's top hi bits plus that of its
-    # low bits, so row k of T holds W_ext[k + popcount(low bits)] for every low
-    # part, and each 2^lo-entry row of the table reads its weights from T
+    # outside every sum.  |u| is the popcount of u's top d - lo bits, its row of
+    # the table, plus that of its lo low bits, so row k of T holds
+    # W_ext[k + popcount(low bits)] for every low part: no 2^d weight table is made
     W_ext = np.array([0.0] + [1.0 / (d * math.comb(d - 1, s)) for s in range(d)] + [0.0])
     lo = max(d - 6, 0)
     T = W_ext[np.arange(d - lo + 2)[:, None] + np.bitwise_count(np.arange(1 << lo))]
-    A = np.empty(1 << d)
-    for high, (row, A_row) in enumerate(zip(c.reshape(-1, 1 << lo), A.reshape(-1, 1 << lo))):
+    A, B = np.empty(1 << d), c  # B is written over c, so two tables are live
+    for high, (row, A_row) in enumerate(zip(B.reshape(-1, 1 << lo), A.reshape(-1, 1 << lo))):
         k = high.bit_count()
         np.multiply(T[k], row, out=A_row)
-        np.multiply(T[k + 1], row, out=row)  # B is written over c, so two tables are live
-    B = c
-    del c
+        np.multiply(T[k + 1], row, out=row)
     phi = np.empty(d)
     for j in reversed(range(d)):
         h = 1 << j
