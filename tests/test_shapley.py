@@ -147,20 +147,6 @@ def test_exact_fold_error_within_column_order_error(game):
     assert fold <= 4 * columns + floor
 
 
-class _Table(ValueFunction):
-    """A value function over a fixed table, handed out as a fresh copy."""
-
-    def __init__(self, vals, d):
-        super().__init__(d)
-        self.vals = vals
-
-    def evaluate(self, u):
-        raise AssertionError("evaluated one subset at a time")
-
-    def all_values(self):
-        return self.vals.copy()
-
-
 def assert_fold_matches_gather(nu, vals):
     attr = exact_shapley(nu)
     phi, nu_empty, nu_full = exact_shapley_gather(vals, nu.d)
@@ -178,7 +164,7 @@ def test_exact_fold_matches_gather_oracle(d):
     size = 1 << d
     for vals in (1e6 + rng.normal(size=size), -3e9 + rng.normal(size=size) * 1e3,
                  rng.normal(size=size) * rng.choice([-1e3, 1e-3, 1.0], size=size)):
-        assert_fold_matches_gather(_Table(vals, d), vals)
+        assert_fold_matches_gather(make_table_vf(vals, d), vals)
 
 
 @pytest.mark.parametrize("d", [3, 7, 11])
