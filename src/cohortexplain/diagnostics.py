@@ -126,8 +126,9 @@ def corner_convergence(profile: SimilarityProfile) -> CornerReport:
     if m == 0:
         return CornerReport(fraction=0.0, bound=0.0, corners_inside=0)
     # table[u] counts non-target rows similar on all of u, i.e. with u disjoint from J_i.
-    (table,) = superset_tables(profile, nontarget.astype(float))
-    inside = int(np.count_nonzero(table))
+    census = []
+    superset_tables(profile, nontarget, finish=lambda part, table: census.append(np.count_nonzero(table)))
+    inside = int(sum(census))
     fraction = inside / (1 << d)
     min_count = int(counts[nontarget].min())
     bound = m * 2.0 ** (-min_count)

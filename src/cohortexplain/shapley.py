@@ -118,11 +118,14 @@ def physical_memory_bytes() -> int:
 
 
 def _binary_size(size: int) -> str:
-    """A byte count in the largest binary unit it reaches, to three significant digits."""
-    power = min(6, max(0, (int(size).bit_length() - 1) // 10))
-    x = size / (1 << 10 * power)
+    """A byte count to three significant digits, in the first binary unit
+    where it rounds below 1000 (EiB at most): 1000 B prints 0.977 KiB."""
+    for power, unit in enumerate("B KiB MiB GiB TiB PiB EiB".split()):
+        x = float(f"{size / (1 << 10 * power):.3g}")
+        if x < 1000 or unit == "EiB":
+            break
     digits = max(0, 2 - math.floor(math.log10(x))) if x > 0 else 0
-    return f"{x:.{digits}f} {'B KiB MiB GiB TiB PiB EiB'.split()[power]}"
+    return f"{x:.{digits}f} {unit}"
 
 
 def check_memory(what: str, need: int, of: str) -> None:

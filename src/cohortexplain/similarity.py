@@ -182,11 +182,16 @@ def _prefix_totals(exits, k: int, responses) -> tuple[np.ndarray, np.ndarray]:
 #: ``superset_tables`` goes dense before its sparse stage holds over 2^(d - 5)
 #: subsets: at n=1000 and d=20 a shift of 5-6 was fastest, of 3 or 8 slower.
 _SPARSE_SHIFT = 5
+#: Entries of a superset table's cache-sized block: 1 MiB of float64, 512 KiB
+#: of int32 counts.
+_BLOCK = 1 << 17
 
 
-def superset_tables(profile: SimilarityProfile, *weights) -> list[np.ndarray]:
+def superset_tables(profile: SimilarityProfile, *weights, finish=None) -> list[np.ndarray]:
     """One table over the 2^d subsets per row-weight vector: entry u sums
     the weights of the rows similar to the target on every feature of u.
+    A boolean vector counts the rows it selects, in an int32 table (exact
+    while n < 2^31, at half the bytes); other weights give float64 tables.
 
     Rows are binned by their similar-feature bitmask [d] \\ J_i, then one
     accumulation pass per bit over the 2^d entries turns the bins into
@@ -204,18 +209,35 @@ def superset_tables(profile: SimilarityProfile, *weights) -> list[np.ndarray]:
     and every entry gets the dense passes' bytes.  Before the keys would
     pass 2^(d - ``_SPARSE_SHIFT``), they are binned into the dense tables
     for the remaining bits; with more rows than that, or d <= the shift,
-    every pass is dense.  All tables are checked against physical memory,
-    with the one a caller derives from them, before the first is allocated.
+    every pass is dense.
+
+    The dense passes run where the entries sit in cache.  The bits below
+    17 pair entries inside one aligned ``_BLOCK`` of 2^17 entries, so each
+    block is binned and takes all of them before the next; the higher bits
+    pair entries in one column of the (2^(d - 17), 2^17) view, so they run
+    over one 2^17-entry chunk of its columns at a time (of 4096 columns at
+    least, so wider above d=22).  Each entry still
+    gets its additions in bit order, so the tables are the same bytes as
+    one pass over the whole table per bit, and at d <= 17 the one block is
+    the whole table.  ``finish(part, *chunks)`` is called as each chunk is
+    done, with the chunk of every table and ``part``, which takes the same
+    chunk of any array of 2^d entries, so a caller can derive its values
+    while they are in cache.  All tables are checked against physical
+    memory, with the one a caller derives from them, before the first is
+    allocated.
     """
     d = profile.d
     check_lattice("superset tables", d, len(weights) + 1)
     bits = np.int64(1) << np.arange(d, dtype=np.int64)
     masks = ((1 << d) - 1) ^ (profile.dissimilar * bits).sum(axis=1)
+    low = min(d, _BLOCK.bit_length() - 1)  # the bits whose passes stay inside one block
+    block = 1 << low
     keys, vals, start = masks, weights, 0
     limit = 1 << max(d - _SPARSE_SHIFT, 0)
     if d > _SPARSE_SHIFT and profile.n <= limit:
         keys, bins = np.unique(masks, return_inverse=True)
-        vals = [np.bincount(bins, weights=w, minlength=len(keys)) for w in weights]
+        vals = [np.bincount(bins[w], minlength=len(keys)) if w.dtype == bool
+                else np.bincount(bins, weights=w, minlength=len(keys)) for w in weights]
         for start in range(d):
             h = 1 << start
             src = np.flatnonzero(keys & h)
@@ -231,14 +253,34 @@ def superset_tables(profile: SimilarityProfile, *weights) -> list[np.ndarray]:
             for s, v in enumerate(vals):
                 v[into] += v[src]
                 vals[s] = np.concatenate([v, v[new]])[order]
-    tables = [np.bincount(keys, weights=w, minlength=1 << d) for w in vals]
-    for acc in tables:
-        for b in range(start, d):
-            h = 1 << b
-            if b < 3:
-                for o in range(h):
-                    acc[o :: 2 * h] += acc[o + h :: 2 * h]
-            else:
-                view = acc.reshape(-1, 2, h)
-                view[:, 0, :] += view[:, 1, :]
+    elif d > low:  # each block's rows together and in row order, so each bin sums as bincount's does
+        order = np.argsort((masks >> low).astype(np.uint16), kind="stable")
+        keys, vals = masks[order], [w[order] for w in weights]
+    tables = [np.empty(1 << d, dtype=np.int32 if w.dtype == bool else float) for w in weights]
+    vals = [v.astype(t.dtype, copy=False) for v, t in zip(vals, tables)]
+    ends = np.cumsum(np.bincount(keys >> low, minlength=1 << (d - low)))  # keys run in block order
+    for base, lo, hi in zip(range(0, 1 << d, block), [0, *ends], ends):
+        for table, v in zip(tables, vals):
+            acc = table[base : base + block]
+            acc.fill(0)
+            np.add.at(acc, keys[lo:hi] - base, v[lo:hi])
+            for b in range(start, low):
+                h = 1 << b
+                if b < 3:
+                    for o in range(h):
+                        acc[o :: 2 * h] += acc[o + h :: 2 * h]
+                else:
+                    view = acc.reshape(-1, 2, h)
+                    view[:, 0, :] += view[:, 1, :]
+    width = max(block >> (d - low), 1 << 12)  # rows of 32 KiB or more: 8 KiB rows were slower at d=24
+    for c in range(0, block, width):
+        def part(x, cols=slice(c, c + width)):
+            return x.reshape(-1, block)[:, cols]
+
+        for table in tables:
+            for b in range(max(start, low), d):
+                view = table.reshape(-1, 2, 1 << (b - low), block)
+                view[:, 0, :, c : c + width] += view[:, 1, :, c : c + width]
+        if finish is not None:
+            finish(part, *map(part, tables))
     return tables

@@ -41,8 +41,9 @@ class CohortValue(ValueFunction):
         return float(self.responses[cohort(self.profile, u)].mean())
 
     def all_values(self) -> np.ndarray:
-        counts, sums = superset_tables(self.profile, np.ones(self.profile.n), self.responses)
-        return np.divide(sums, counts, out=sums)
+        counts, sums = superset_tables(self.profile, np.ones(self.profile.n, dtype=bool), self.responses,
+                                       finish=lambda part, counts, sums: np.divide(sums, counts, out=sums))
+        return sums
 
     def permutation_increments(self, perm: np.ndarray) -> np.ndarray:
         sizes, sums = refinement_path(self.profile, perm, self.responses)
@@ -66,8 +67,14 @@ class UniquenessValue(ValueFunction):
         return -math.log2(len(cohort(self.profile, u)))
 
     def all_values(self) -> np.ndarray:
-        (counts,) = superset_tables(self.profile, np.ones(self.profile.n))
-        return np.negative(np.log2(counts, out=counts), out=counts)
+        check_lattice("superset tables", self.d, 2)  # the counts and this table, before it is allocated
+        out = np.empty(1 << self.d)
+
+        def negative_log2(part, counts):
+            np.negative(np.log2(counts, out=part(out)), out=part(out))
+
+        superset_tables(self.profile, np.ones(self.profile.n, dtype=bool), finish=negative_log2)
+        return out
 
 
 class GkwValue(ValueFunction):

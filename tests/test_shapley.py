@@ -8,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohortexplain import (
+    CohortValue,
     ComputationError,
     DimensionTooLarge,
     GkwValue,
     UniquenessValue,
     ValueFunction,
+    build_profile,
     exact_shapley,
+    make_similarity_spec,
     mc_shapley,
 )
 from cohortexplain import shapley
@@ -71,7 +74,7 @@ def test_memory_refusal_prints_each_size_in_its_own_unit(monkeypatch):
     """Six 2^d tables against too little memory: each size in its own binary
     unit, to three significant digits, so the refusal shows by how much."""
     for have, d, want in [(3 << 20, 18, ("12.0 MiB", "3.00 MiB")), (3 << 20, 30, ("48.0 GiB", "3.00 MiB")),
-                          (1000, 11, ("96.0 KiB", "1000 B"))]:
+                          (1000, 11, ("96.0 KiB", "0.977 KiB"))]:
         monkeypatch.setattr(shapley, "physical_memory_bytes", lambda: have)
         with pytest.raises(ComputationError) as caught:
             shapley.check_lattice("cs-exact", d, 6)
@@ -79,6 +82,17 @@ def test_memory_refusal_prints_each_size_in_its_own_unit(monkeypatch):
                              r"physical memory is (\S+ [KMG]?i?B)", str(caught.value))
         assert sizes is not None and sizes.groups() == want
 
+
+
+@pytest.mark.parametrize("size, text", [
+    (999, "999 B"), (1000, "0.977 KiB"), (1023 << 10, "0.999 MiB"), (1000 << 10, "0.977 MiB"),
+    (10235, "10.0 KiB"), (102359, "100 KiB"), (4163 << 60, "4160 EiB"),
+])
+def test_binary_size_takes_the_next_unit_at_1000(size, text):
+    """A size that rounds to 1000 or more of a unit prints in the next one,
+    below EiB, and a value that rounds up to a power of ten keeps three
+    significant digits."""
+    assert shapley._binary_size(size) == text
 
 def test_constant_vf_gives_zero():
     attr = exact_shapley(make_table_vf(np.full(8, 3.7), 3))
@@ -285,6 +299,30 @@ def test_mc_converges_to_exact_over_seeds():
     mean = estimates.mean(axis=0)
     se = estimates.std(axis=0, ddof=1) / np.sqrt(len(estimates))
     assert np.all(np.abs(mean - exact) <= 3.0 * se + 1e-12)
+
+
+def test_mc_stderr_is_calibrated_against_exact():
+    """cs-mc's ``stderr`` measures its error: on Gaussian tables (n=300,
+    d=8, the relative rule), z = (mc - exact) / stderr over 10 targets each
+    at m=100 permutations has a mean near 0, an sd near 1 and about 95% of
+    its values within 2.  Coordinates whose sampled increments never vary
+    (stderr 0) are left out.  At m=10 the tails are much heavier."""
+    rng = np.random.default_rng(300)
+    z = []
+    for _ in range(4):
+        X = rng.normal(size=(300, 8))
+        ds = make_dataset(X, X @ rng.normal(size=8) + rng.normal(size=300))
+        spec = make_similarity_spec(ds)
+        for t in range(10):
+            cv = CohortValue(build_profile(ds, spec, t), ds.responses)
+            mc = mc_shapley(cv, 100, seed=rng_from(300, t))
+            varies = mc.stderr > 0
+            z.append((mc.values - exact_shapley(cv).values)[varies] / mc.stderr[varies])
+    z = np.concatenate(z)
+    assert len(z) > 300
+    assert abs(z.mean()) < 0.2
+    assert 0.85 < z.std() < 1.15
+    assert 0.92 <= np.mean(np.abs(z) <= 2) <= 0.98
 
 
 def test_mc_stderr_single_sample_is_zero():

@@ -26,6 +26,7 @@ from cohortexplain import (
     conditional_curves,
     make_similarity_spec,
 )
+from cohortexplain import similarity
 from cohortexplain.data import similarity_widths
 from cohortexplain.similarity import refinement_path, superset_tables
 
@@ -89,16 +90,25 @@ def test_superset_tables_match_brute_force():
     st.floats(0.0, 1.0),
     st.sampled_from([1e-300, 1e-3, 1.0, 1e6, 1e300]),
     st.integers(0, 2**32 - 1),
+    st.integers(1, 17),
 )
-def test_superset_tables_match_per_bit_passes_bytes(d, n, density, scale, seed):
+def test_superset_tables_match_per_bit_passes_bytes(d, n, density, scale, seed, block_bits):
     """The strided adds of the low bits add the same pairs in the same pass
-    order as one (-1, 2, 2^b) view per bit, so every table is the same bytes."""
+    order as one (-1, 2, 2^b) view per bit, and blocks of 2^block_bits
+    entries (smaller than the table, as at d > 17, or not) give each entry
+    its additions in the same order, so every table is the same bytes and
+    the int32 counts are the per-bit passes' float counts exactly."""
     rng = np.random.default_rng(seed)
     profile = random_binary_profile(rng, n=n, d=d, target=int(rng.integers(n)), density=density)
     w = rng.normal(size=n) * scale
-    got = superset_tables(profile, np.ones(n), w)
-    want = superset_tables_by_bits(profile, np.ones(n), w)
-    assert [t.tobytes() for t in got] == [t.tobytes() for t in want]
+    picked = rng.random(n) < 0.7
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(similarity, "_BLOCK", 1 << block_bits)
+        counts, selected, got = superset_tables(profile, np.ones(n, dtype=bool), picked, w)
+    want = superset_tables_by_bits(profile, np.ones(n), picked.astype(float), w)
+    assert counts.dtype == selected.dtype == np.int32 and got.dtype == float
+    assert np.array_equal(counts, want[0]) and np.array_equal(selected, want[1])
+    assert got.tobytes() == want[2].tobytes()
 
 
 def _staged_profile(case, rng):

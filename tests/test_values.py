@@ -319,13 +319,36 @@ def test_lattice_callers_match_per_bit_tables():
     assert corner_convergence(profile).corners_inside == np.count_nonzero(table)
 
 
+def test_superset_tables_finish_each_block_at_d20():
+    """At d=20 the tables take eight 2^17-entry blocks and eight column
+    chunks; the int32 counts are the per-bit passes' counts exactly, and
+    each finished table (the cohort mean's division, uniqueness's -log2 and
+    the corner census) is the bytes derived from the per-bit tables."""
+    rng = np.random.default_rng(20)
+    n, target = 1000, 3
+    profile, y, cv = random_cohort_instance(rng, n=n, d=20, target=target, density=0.9)
+    nontarget = np.ones(n, dtype=bool)
+    nontarget[target] = False
+    counts, sums, others = superset_tables_by_bits(profile, np.ones(n), y, nontarget.astype(float))
+    (got,) = superset_tables(profile, np.ones(n, dtype=bool))
+    assert got.dtype == np.int32 and np.array_equal(got, counts)
+    chunks = []
+    superset_tables(profile, nontarget, finish=lambda part, table: chunks.append(part(np.arange(1 << 20))))
+    assert len(chunks) == 8 and np.array_equal(np.sort(np.concatenate(chunks, axis=None)), np.arange(1 << 20))
+    assert cv.all_values().tobytes() == (sums / counts).tobytes()
+    assert UniquenessValue(profile).all_values().tobytes() == (-np.log2(counts)).tobytes()
+    assert corner_convergence(profile).corners_inside == np.count_nonzero(others)
+
+
 def test_exact_cohort_shapley_peak_within_budget():
     """One exact_shapley at d=14 holds fewer tables than its memory check
     budgets for, and the measured floors stay: a cohort mean peaks in its
-    two superset tables plus the passes' fixed iterator buffer (about
-    192 KiB, 1.5 tables at d=14 and 0.02 at d=20), 3.74 tables; uniqueness
-    in the fold, the centred table that B is written over and A with the
-    weight rows, 2.71 tables (3.66 with the popcount gather)."""
+    superset tables, half a table of int32 counts and one of sums, plus
+    the float passes' fixed iterator buffer (about 192 KiB, 1.5 tables at
+    d=14 and 0.02 at d=20), 3.22 tables (3.74 with float64 counts);
+    uniqueness in its superset stage too, the int32 counts, the float64
+    result and the buffer, 2.44 tables (2.71 when its counts were float64
+    and the fold held its peak, 3.66 with the popcount gather)."""
     d = 14
     rng = np.random.default_rng(14)
     profile, _, cv = random_cohort_instance(rng, n=200, d=d, density=0.9)
