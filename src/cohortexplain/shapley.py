@@ -23,11 +23,13 @@ from .sampling import fisher_yates, rng_from
 #: Largest d for which any 2^d-entry subset table is built.
 LATTICE_DIMENSION_CAP = 30
 #: 2^d-entry float64 tables the exact engine budgets for.  Two and an
-#: eighth are live at its peak (2.13-2.18 by tracemalloc at d=20): the two
-#: superset tables a cohort value is made from, then the value table with its
-#: centred copy, then the centred table, which B is written over, with A and
-#: A's and B's weight rows.  A value function that keeps the table it returns
-#: adds one; the rest is headroom for the memory others hold.
+#: eighth are live at its peak (2.13 by tracemalloc at d=20, for a cohort
+#: mean and uniqueness alike): the value table with its centred copy, then
+#: the centred table, which B is written over, with A and A's and B's weight
+#: rows.  The superset stage before it holds about one and a half (1.64-1.66:
+#: half a table of int32 counts and one float64 table).  A value function
+#: that keeps the table it returns adds one; the rest is headroom for the
+#: memory others hold.
 EXACT_TABLES = 6
 
 

@@ -305,39 +305,27 @@ def test_evaluate_rejects_features_outside_range(make, feature):
 
 
 def test_lattice_callers_match_per_bit_tables():
-    """At d=16 and n=300 the superset tables start sparse; what each caller
-    derives from them is the bytes it derives from the per-bit passes."""
-    rng = np.random.default_rng(16)
-    n = 300
-    profile, y, cv = random_cohort_instance(rng, n=n, d=16, target=7, density=0.9)
-    counts, sums = superset_tables_by_bits(profile, np.ones(n), y)
-    assert cv.all_values().tobytes() == (sums / counts).tobytes()
-    assert UniquenessValue(profile).all_values().tobytes() == (-np.log2(counts)).tobytes()
-    nontarget = np.ones(n)
-    nontarget[7] = 0.0
-    (table,) = superset_tables_by_bits(profile, nontarget)
-    assert corner_convergence(profile).corners_inside == np.count_nonzero(table)
-
-
-def test_superset_tables_finish_each_block_at_d20():
-    """At d=20 the tables take eight 2^17-entry blocks and eight column
-    chunks; the int32 counts are the per-bit passes' counts exactly, and
-    each finished table (the cohort mean's division, uniqueness's -log2 and
-    the corner census) is the bytes derived from the per-bit tables."""
-    rng = np.random.default_rng(20)
-    n, target = 1000, 3
-    profile, y, cv = random_cohort_instance(rng, n=n, d=20, target=target, density=0.9)
-    nontarget = np.ones(n, dtype=bool)
-    nontarget[target] = False
-    counts, sums, others = superset_tables_by_bits(profile, np.ones(n), y, nontarget.astype(float))
-    (got,) = superset_tables(profile, np.ones(n, dtype=bool))
-    assert got.dtype == np.int32 and np.array_equal(got, counts)
-    chunks = []
-    superset_tables(profile, nontarget, finish=lambda part, table: chunks.append(part(np.arange(1 << 20))))
-    assert len(chunks) == 8 and np.array_equal(np.sort(np.concatenate(chunks, axis=None)), np.arange(1 << 20))
-    assert cv.all_values().tobytes() == (sums / counts).tobytes()
-    assert UniquenessValue(profile).all_values().tobytes() == (-np.log2(counts)).tobytes()
-    assert corner_convergence(profile).corners_inside == np.count_nonzero(others)
+    """At d=16 and n=300 the superset tables start sparse and take one
+    block; at d=20 and n=1000 eight 2^17-entry blocks and eight column
+    chunks.  The int32 counts are the per-bit passes' counts exactly, the
+    chunks cover every entry once, and what each caller derives from the
+    tables (the cohort mean's division, uniqueness's -log2 and the corner
+    census) is the bytes it derives from the per-bit passes."""
+    for d, n, target in ((16, 300, 7), (20, 1000, 3)):
+        rng = np.random.default_rng(d)
+        profile, y, cv = random_cohort_instance(rng, n=n, d=d, target=target, density=0.9)
+        nontarget = np.ones(n, dtype=bool)
+        nontarget[target] = False
+        counts, sums, others = superset_tables_by_bits(profile, np.ones(n), y, nontarget.astype(float))
+        (got,) = superset_tables(profile, np.ones(n, dtype=bool))
+        assert got.dtype == np.int32 and np.array_equal(got, counts)
+        chunks = []
+        superset_tables(profile, nontarget, finish=lambda part, table: chunks.append(part(np.arange(1 << d))))
+        assert len(chunks) == 1 << max(d - 17, 0)
+        assert np.array_equal(np.sort(np.concatenate(chunks, axis=None)), np.arange(1 << d))
+        assert cv.all_values().tobytes() == (sums / counts).tobytes()
+        assert UniquenessValue(profile).all_values().tobytes() == (-np.log2(counts)).tobytes()
+        assert corner_convergence(profile).corners_inside == np.count_nonzero(others)
 
 
 def test_exact_cohort_shapley_peak_within_budget():
